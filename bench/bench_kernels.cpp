@@ -44,12 +44,6 @@ volatile uint64_t g_sink = 0;  // defeats dead-code elimination
 struct Options {
   uint64_t reps = 200;        // passes over the query set per measurement
   double check_speedup = 0.0; // 0 = report only, no gate
-  // Gate for the packed-KV family (page-format v3).  Separate and lower by
-  // design: with L1-resident arrays the packed layout's cache-line economy
-  // is invisible, so the microbench can only pin "the packed probe beats
-  // the interleaved-record search it replaced" — the layout's real margin
-  // is end-to-end (bench_throughput E20, whole pages, ~10%+ QPS).
-  double check_packed_speedup = 1.05;
   std::string json_path;
 };
 
@@ -67,14 +61,11 @@ Options ParseArgs(int argc, char** argv) {
       o.reps = std::strtoull(rv, nullptr, 10);
     } else if (const char* sv = value_of(&i, "--check-speedup")) {
       o.check_speedup = std::strtod(sv, nullptr);
-    } else if (const char* pv2 = value_of(&i, "--check-packed-speedup")) {
-      o.check_packed_speedup = std::strtod(pv2, nullptr);
     } else if (const char* jv = value_of(&i, "--json")) {
       o.json_path = jv;
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--reps N] [--check-speedup X] "
-                   "[--check-packed-speedup X] [--json out]\n",
+                   "usage: %s [--reps N] [--check-speedup X] [--json out]\n",
                    argv[0]);
       std::exit(2);
     }
@@ -255,65 +246,6 @@ void BenchLowerBoundKV(const Options& opt, std::vector<Row>* rows) {
   }
 }
 
-// ---- Packed KV bounds: kernels::LowerBoundKVPacked over the v3 split
-// keys[]/payloads[] page layout, against the interleaved-record search it
-// replaced (std::lower_bound over {key, value} structs with the
-// lexicographic comparator — one cache line per record probed).  This is
-// the per-page half of the v3 codec claim: same answers, fewer lines. ----
-void BenchLowerBoundKVPacked(const Options& opt, std::vector<Row>* rows) {
-  std::mt19937_64 rng(46);
-  for (size_t n : kSizes) {
-    std::vector<KV> a(n);
-    for (auto& r : a) {
-      r.key = static_cast<int64_t>(rng() % (4 * n));
-      r.value = rng() % 8;
-    }
-    std::sort(a.begin(), a.end(), [](const KV& x, const KV& y) {
-      if (x.key != y.key) return x.key < y.key;
-      return x.value < y.value;
-    });
-    std::vector<int64_t> keys(n);
-    std::vector<uint64_t> vals(n);
-    for (size_t i = 0; i < n; ++i) {
-      keys[i] = a[i].key;
-      vals[i] = a[i].value;
-    }
-    std::vector<KV> queries(kQueries);
-    for (auto& q : queries) {
-      q.key = static_cast<int64_t>(rng() % (4 * n + 2)) - 1;
-      q.value = rng() % 8;
-    }
-
-    const double base_ns = TimeNsPerOp(opt.reps, kQueries, [&] {
-      uint64_t acc = 0;
-      for (const KV& q : queries) {
-        acc += std::lower_bound(a.begin(), a.end(), q,
-                                [](const KV& x, const KV& y) {
-                                  if (x.key != y.key) return x.key < y.key;
-                                  return x.value < y.value;
-                                }) -
-               a.begin();
-      }
-      g_sink += acc;
-    });
-    rows->push_back({"lower_bound_kv_packed", n, "baseline", base_ns, 1.0});
-    for (Tier t : AvailableTiers()) {
-      kernels::ForceTier(t);
-      const double ns = TimeNsPerOp(opt.reps, kQueries, [&] {
-        uint64_t acc = 0;
-        for (const KV& q : queries) {
-          acc += kernels::LowerBoundKVPacked(keys.data(), vals.data(), n,
-                                             q.key, q.value);
-        }
-        g_sink += acc;
-      });
-      rows->push_back({"lower_bound_kv_packed", n, kernels::TierName(t), ns,
-                       base_ns / ns});
-    }
-    kernels::ResetTier();
-  }
-}
-
 struct CrcResult {
   bool hw_active = false;
   double sw_gbps = 0.0;
@@ -408,7 +340,6 @@ int Main(int argc, char** argv) {
   std::vector<Row> rows;
   BenchLowerBound(opt, &rows);
   BenchLowerBoundKV(opt, &rows);
-  BenchLowerBoundKVPacked(opt, &rows);
   BenchFindFirst(opt, &rows);
 
   for (const Row& r : rows) {
@@ -445,11 +376,9 @@ int Main(int argc, char** argv) {
     }
     const bool ok_bound =
         CheckSpeedup(rows, opt.check_speedup, "lower_bound_i64", 16);
-    const bool ok_packed = CheckSpeedup(rows, opt.check_packed_speedup,
-                                        "lower_bound_kv_packed", 16);
     const bool ok_scan =
         CheckSpeedup(rows, opt.check_speedup, "find_first_below", 32);
-    if (!ok_bound || !ok_packed || !ok_scan) {
+    if (!ok_bound || !ok_scan) {
       std::fprintf(stderr, "FATAL kernel speedup gate failed\n");
       return 1;
     }

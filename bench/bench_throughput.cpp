@@ -41,7 +41,6 @@
 #include "core/three_sided.h"
 #include "io/checksum_page_device.h"
 #include "io/file_page_device.h"
-#include "io/page_codec.h"
 #include "io/shared_buffer_pool.h"
 #include "kernels/dispatch.h"
 #include "workload/generators.h"
@@ -56,9 +55,6 @@ struct Options {
   uint64_t points = 200'000;
   uint64_t queries = 1'000;  // per thread, and per cold pass
   bool checksums = false;    // also measure the CRC32C trailer's warm cost
-  // E20's skewed workload: Zipf(theta) popularity over the candidate query
-  // pool.  --zipf overrides; 0.99 is the YCSB-style default.
-  double zipf_theta = 0.99;
   std::string json_path;
 };
 
@@ -76,8 +72,6 @@ Options ParseArgs(int argc, char** argv) {
       o.points = std::strtoull(pv, nullptr, 10);
     } else if (const char* qv = value_of(&i, "--queries")) {
       o.queries = std::strtoull(qv, nullptr, 10);
-    } else if (const char* zv = value_of(&i, "--zipf")) {
-      o.zipf_theta = std::strtod(zv, nullptr);
     } else if (const char* jv = value_of(&i, "--json")) {
       o.json_path = jv;
     } else if (std::strcmp(argv[i], "--checksums") == 0) {
@@ -85,7 +79,7 @@ Options ParseArgs(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: %s [--points N] [--queries N] [--checksums] "
-                   "[--zipf THETA] [--json out.json]\n",
+                   "[--json out.json]\n",
                    argv[0]);
       std::exit(2);
     }
@@ -110,28 +104,6 @@ QuerySet MakeQueries(uint64_t count, uint32_t seed) {
     const int64_t x1 = rng.UniformRange(0, 900'000'000);
     qs.three.push_back(ThreeSidedQuery{
         x1, x1 + 100'000'000, rng.UniformRange(800'000'000, 1'000'000'000)});
-  }
-  return qs;
-}
-
-// Probe-heavy query set for E20: selectivity tuned so each answer stays
-// O(B) records, making the directory descent and in-page bounds — the
-// costs the v3 node layout actually changes — the dominant term.  The
-// broad-range streams above stay in the measurement for the
-// output-dominated regime, where record filtering caps any layout win
-// (E19's Amdahl lesson, reported honestly either way).
-QuerySet MakeProbeQueries(uint64_t count, uint32_t seed) {
-  QuerySet qs;
-  Rng rng(seed);
-  qs.two.reserve(count);
-  qs.three.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    qs.two.push_back(TwoSidedQuery{
-        rng.UniformRange(970'000'000, 1'000'000'000),
-        rng.UniformRange(970'000'000, 1'000'000'000)});
-    const int64_t x1 = rng.UniformRange(0, 990'000'000);
-    qs.three.push_back(ThreeSidedQuery{
-        x1, x1 + 2'000'000, rng.UniformRange(950'000'000, 1'000'000'000)});
   }
   return qs;
 }
@@ -289,22 +261,10 @@ struct KernelAblation {
   double speedup = 0.0;
 };
 
-struct E20Row {
-  const char* structure;  // "2-sided" | "3-sided"
-  const char* workload;   // "uniform" | "zipf"
-  double qps_v2 = 0.0;    // interleaved pages (pre-v4 writers)
-  double qps_v3 = 0.0;    // packed cache-line pages (the default)
-  double speedup = 0.0;   // qps_v3 / qps_v2
-};
-
 struct E20Result {
-  double theta = 0.0;
-  uint64_t cold_reads_v2 = 0;  // asserted == cold_reads_v3
-  uint64_t cold_reads_v3 = 0;
   bool uring_available = false;
   uint64_t cold_reads_preadv = 0;  // asserted == cold_reads_uring
   uint64_t cold_reads_uring = 0;
-  std::vector<E20Row> rows;
 };
 
 struct ChecksumResult {
@@ -369,24 +329,10 @@ void WriteJson(const Options& opt, const std::vector<ColdCell>& cold,
     w.Key("pages_verified").Uint(sum.pages_verified);
     w.EndObject();
   }
-  w.Key("e20_codec_async").BeginObject();
-  w.Key("zipf_theta").Double(e20.theta);
-  w.Key("cold_file_reads_interleaved").Uint(e20.cold_reads_v2);
-  w.Key("cold_file_reads_packed").Uint(e20.cold_reads_v3);
+  w.Key("e20_async").BeginObject();
   w.Key("uring_available").Bool(e20.uring_available);
   w.Key("cold_file_reads_preadv").Uint(e20.cold_reads_preadv);
   w.Key("cold_file_reads_uring").Uint(e20.cold_reads_uring);
-  w.Key("rows").BeginArray();
-  for (const E20Row& r : e20.rows) {
-    w.BeginObject();
-    w.Key("structure").Str(r.structure);
-    w.Key("workload").Str(r.workload);
-    w.Key("qps_interleaved").Double(r.qps_v2);
-    w.Key("qps_packed").Double(r.qps_v3);
-    w.Key("speedup").Double(r.speedup);
-    w.EndObject();
-  }
-  w.EndArray();
   w.EndObject();
   w.EndObject();
   std::fputc('\n', f);
@@ -594,42 +540,12 @@ int Main(int argc, char** argv) {
         static_cast<unsigned long long>(sumres.pages_verified));
   }
 
-  // ---- Page-format + async-readahead ablation (E20): the identical store
-  // built with the packed v3 codec forced OFF — the pages a pre-v4 writer
-  // lays down — against the default.  Three claims:
-  //   (1) cold counted reads are bit-identical codec-on/off: the packed
-  //       layout never changes per-page capacity (io/page_codec.h), so the
-  //       paper's cost model cannot see it;
-  //   (2) cold counted reads are bit-identical preadv vs async io_uring:
-  //       the ring is a transport, readahead is counted at batch
-  //       granularity either way;
-  //   (3) warm single-thread per-structure QPS, uniform and Zipf-skewed,
-  //       best-of-5 with v2/v3 alternation (same noise rules as E16).
-  //       Honest-null reporting: every cell prints even when its speedup
-  //       rounds to 1.00x — the claim lives or dies per structure.
+  // ---- Async-readahead transport check (E20): cold counted reads are
+  // bit-identical preadv vs async io_uring — the ring is a transport,
+  // readahead is counted at batch granularity either way.  Reopen the
+  // clustered file through a fresh device per backend and replay the cold
+  // pass.
   E20Result e20;
-  e20.theta = opt.zipf_theta;
-  codec::SetPackedPagesEnabled(0);
-  Store v2 = BuildStore("/tmp/pathcache_bench_throughput.v2.bin", points,
-                        /*clustered=*/true);
-  codec::SetPackedPagesEnabled(-1);
-
-  e20.cold_reads_v3 = RunColdPass(s, cold_qs, true, true).file_reads;
-  e20.cold_reads_v2 = RunColdPass(v2, cold_qs, true, true).file_reads;
-  if (e20.cold_reads_v2 != e20.cold_reads_v3) {
-    std::fprintf(stderr,
-                 "FATAL counted reads differ across page codecs: "
-                 "interleaved=%llu packed=%llu\n",
-                 static_cast<unsigned long long>(e20.cold_reads_v2),
-                 static_cast<unsigned long long>(e20.cold_reads_v3));
-    std::abort();
-  }
-  std::printf(
-      "\ne20: counted cold reads identical codec-on/off (asserted, %llu)\n",
-      static_cast<unsigned long long>(e20.cold_reads_v3));
-
-  // preadv vs io_uring over the same clustered v3 bytes: reopen the file
-  // through a fresh device per backend and replay the cold pass.
   auto cold_with_backend = [&](FilePageDevice::ReadBackend be,
                                bool* supported) -> uint64_t {
     auto dev = BenchValue(
@@ -686,80 +602,6 @@ int Main(int argc, char** argv) {
     std::printf("e20: io_uring unavailable here; backend parity not run "
                 "(preadv cold reads %llu)\n",
                 static_cast<unsigned long long>(e20.cold_reads_preadv));
-  }
-
-  // Warm per-structure sweeps over two candidate pools.  The probe-heavy
-  // pool keeps every answer at O(B) records, so the descent + in-page
-  // bounds the v3 layout changes dominate each query; it runs uniformly
-  // indexed and Zipf(theta)-skewed (same queries, different popularity).
-  // The broad-range pool (the regular warm stream) keeps the
-  // output-dominated regime in the record — there, per-record filtering
-  // caps any layout win and a near-null speedup is the expected, honest
-  // result (E19's Amdahl lesson).
-  const QuerySet cand = MakeProbeQueries(opt.queries, 21);
-  const QuerySet& broad = streams[0];
-  std::vector<size_t> uniform_idx(cand.two.size());
-  for (size_t i = 0; i < uniform_idx.size(); ++i) uniform_idx[i] = i;
-  std::vector<size_t> broad_idx(broad.two.size());
-  for (size_t i = 0; i < broad_idx.size(); ++i) broad_idx[i] = i;
-  const std::vector<size_t> zipf_idx =
-      ZipfIndexStream(cand.two.size(), cand.two.size(), opt.zipf_theta, 99);
-
-  auto pass_two = [&](Store& st, const QuerySet& qs,
-                      const std::vector<size_t>& idx) {
-    std::vector<Point> out;
-    for (size_t i : idx) {
-      out.clear();
-      BenchCheck(st.pst->QueryTwoSided(qs.two[i], &out), "e20 2-sided");
-    }
-  };
-  auto pass_three = [&](Store& st, const QuerySet& qs,
-                        const std::vector<size_t>& idx) {
-    std::vector<Point> out;
-    for (size_t i : idx) {
-      out.clear();
-      BenchCheck(st.pst3->QueryThreeSided(qs.three[i], &out), "e20 3-sided");
-    }
-  };
-  // Warm both pools back up after the cold passes above.
-  for (Store* st : {&v2, &s}) {
-    pass_two(*st, cand, uniform_idx);
-    pass_three(*st, cand, uniform_idx);
-    pass_two(*st, broad, broad_idx);
-    pass_three(*st, broad, broad_idx);
-  }
-
-  e20.rows = {{"2-sided", "uniform"}, {"2-sided", "zipf"},
-              {"2-sided", "broad"},   {"3-sided", "uniform"},
-              {"3-sided", "zipf"},    {"3-sided", "broad"}};
-  for (int round = 0; round < 5; ++round) {
-    for (E20Row& row : e20.rows) {
-      const bool is_broad = std::strcmp(row.workload, "broad") == 0;
-      const QuerySet& qs = is_broad ? broad : cand;
-      const std::vector<size_t>& idx =
-          is_broad ? broad_idx
-                   : (std::strcmp(row.workload, "zipf") == 0 ? zipf_idx
-                                                             : uniform_idx);
-      const bool two = std::strcmp(row.structure, "2-sided") == 0;
-      auto time_pass = [&](Store& st) {
-        return RunThreads(1, idx.size(), [&](uint32_t) {
-          if (two) {
-            pass_two(st, qs, idx);
-          } else {
-            pass_three(st, qs, idx);
-          }
-        });
-      };
-      row.qps_v2 = std::max(row.qps_v2, time_pass(v2));
-      row.qps_v3 = std::max(row.qps_v3, time_pass(s));
-    }
-  }
-  for (E20Row& row : e20.rows) {
-    row.speedup = row.qps_v2 == 0.0 ? 0.0 : row.qps_v3 / row.qps_v2;
-    std::printf(
-        "e20 %-8s %-8s  warm qps interleaved=%9.0f  packed=%9.0f  "
-        "speedup=%.3fx\n",
-        row.structure, row.workload, row.qps_v2, row.qps_v3, row.speedup);
   }
 
   if (!opt.json_path.empty()) WriteJson(opt, cold, warm, ka, sumres, e20);

@@ -5,30 +5,21 @@
 #include <cstring>
 #include <string>
 
-#include "io/page_codec.h"
 #include "kernels/search.h"
 
 namespace pathcache {
 
 namespace {
 
-// On-page node layout.  NodeHeader.pad[0] carries the body format version:
+// On-page node layout (interleaved records):
 //
-//   v2 (0, interleaved):
 //     NodeHeader            (24 bytes)
 //     leaf:     BTreeEntry  x count        (16 bytes each)
 //     internal: ChildEntry  x count        (24 bytes each; count children)
 //
-//   v3 (1, packed; written when codec::PackedPagesEnabled()):
-//     NodeHeader            (24 bytes)
-//     leaf:     int64 key   x count | uint64 value x count
-//     internal: int64 sep.key x count | uint64 sep.value x count
-//               | PageId child x count
-//
-// Both spend the same bytes per entry, so node capacities, split points and
-// page counts are identical — only the byte order inside the body changes.
-// The packed form puts the search keys eight to a cache line, which is what
-// the in-place descent below probes (kernels::*KVPacked).
+// NodeHeader.pad[0] carries the body format version and must be kNodeV2;
+// any other value (including 1, the dropped deinterleaved v3 body) is
+// rejected as Corruption.
 //
 // Internal nodes route on lower fences: entries_[i].sep is <= every entry in
 // the subtree of entries_[i].child and > every entry in subtrees 0..i-1.
@@ -50,7 +41,6 @@ struct ChildEntry {
 static_assert(sizeof(ChildEntry) == 24);
 
 constexpr uint8_t kNodeV2 = 0;  // interleaved records
-constexpr uint8_t kNodeV3 = 1;  // deinterleaved key/value(/child) arrays
 
 // The in-page search kernels read BTreeEntry as a packed {int64 key,
 // uint64 value} record and ChildEntry as the same record with 8 trailing
@@ -92,9 +82,9 @@ struct Node {
 // are trusted: a corrupt count or version must fail loudly, never index off
 // the frame.
 Status CheckNodeHeader(const NodeHeader& hdr, size_t page_size) {
-  if (hdr.pad[0] > kNodeV3) {
+  if (hdr.pad[0] != kNodeV2) {
     return Status::Corruption("btree node format version " +
-                              std::to_string(hdr.pad[0]) + " unknown");
+                              std::to_string(hdr.pad[0]) + " unsupported");
   }
   const size_t entry =
       hdr.is_leaf != 0 ? sizeof(BTreeEntry) : sizeof(ChildEntry);
@@ -115,23 +105,7 @@ Status Decode(const std::vector<std::byte>& buf, Node* n) {
   n->children.clear();
   const std::byte* body = buf.data() + sizeof(hdr);
   const size_t cnt = hdr.count;
-  if (hdr.pad[0] == kNodeV3) {
-    const auto* keys = reinterpret_cast<const int64_t*>(body);
-    const auto* vals = reinterpret_cast<const uint64_t*>(body + cnt * 8);
-    if (n->is_leaf) {
-      n->leaf.resize(cnt);
-      for (size_t i = 0; i < cnt; ++i) n->leaf[i] = BTreeEntry{keys[i], vals[i]};
-    } else {
-      const std::byte* kids = body + cnt * 16;
-      n->children.resize(cnt);
-      for (size_t i = 0; i < cnt; ++i) {
-        PageId child;
-        std::memcpy(&child, kids + i * sizeof(PageId), sizeof(PageId));
-        n->children[i] = ChildEntry{BTreeEntry{keys[i], vals[i]}, child};
-      }
-    }
-    return Status::OK();
-  }
+  if (cnt == 0) return Status::OK();  // empty data() may be null for memcpy
   if (n->is_leaf) {
     n->leaf.resize(cnt);
     std::memcpy(n->leaf.data(), body, cnt * sizeof(BTreeEntry));
@@ -144,38 +118,18 @@ Status Decode(const std::vector<std::byte>& buf, Node* n) {
 
 void Encode(const Node& n, std::vector<std::byte>* buf) {
   std::memset(buf->data(), 0, buf->size());
-  const bool pack = codec::PackedPagesEnabled();
   NodeHeader hdr;
   hdr.is_leaf = n.is_leaf ? 1 : 0;
-  hdr.pad[0] = pack ? kNodeV3 : kNodeV2;
+  hdr.pad[0] = kNodeV2;
   hdr.count = n.count();
   hdr.next = n.next;
   std::memcpy(buf->data(), &hdr, sizeof(hdr));
   std::byte* body = buf->data() + sizeof(hdr);
-  const size_t cnt = hdr.count;
-  if (!pack) {
-    if (n.is_leaf) {
-      std::memcpy(body, n.leaf.data(), cnt * sizeof(BTreeEntry));
-    } else {
-      std::memcpy(body, n.children.data(), cnt * sizeof(ChildEntry));
-    }
-    return;
-  }
-  auto* keys = reinterpret_cast<int64_t*>(body);
-  auto* vals = reinterpret_cast<uint64_t*>(body + cnt * 8);
+  if (hdr.count == 0) return;  // empty data() may be null for memcpy
   if (n.is_leaf) {
-    for (size_t i = 0; i < cnt; ++i) {
-      keys[i] = n.leaf[i].key;
-      vals[i] = n.leaf[i].value;
-    }
+    std::memcpy(body, n.leaf.data(), hdr.count * sizeof(BTreeEntry));
   } else {
-    std::byte* kids = body + cnt * 16;
-    for (size_t i = 0; i < cnt; ++i) {
-      keys[i] = n.children[i].sep.key;
-      vals[i] = n.children[i].sep.value;
-      std::memcpy(kids + i * sizeof(PageId), &n.children[i].child,
-                  sizeof(PageId));
-    }
+    std::memcpy(body, n.children.data(), hdr.count * sizeof(ChildEntry));
   }
 }
 
@@ -305,9 +259,8 @@ Status BPlusTree::DescendToLeaf(const BTreeEntry& e,
   PageId cur = root_;
   for (;;) {
     PC_RETURN_IF_ERROR(ReadPage(cur, &buf));
-    // Route in place: the separator search runs directly on the page body
-    // (dense key array on v3 nodes, strided records on v2), so the descent
-    // never materializes a node.
+    // Route in place: the separator search runs directly on the page body's
+    // strided records, so the descent never materializes a node.
     NodeHeader hdr;
     std::memcpy(&hdr, buf.data(), sizeof(hdr));
     PC_RETURN_IF_ERROR(CheckNodeHeader(hdr, buf.size()));
@@ -321,26 +274,14 @@ Status BPlusTree::DescendToLeaf(const BTreeEntry& e,
     const std::byte* body = buf.data() + sizeof(hdr);
     // Largest i with sep[i] <= e; sep[0] acts as -infinity, which the upper
     // bound honors by clamping 0 (no separator <= e) to child 0.
-    size_t ub;
+    const size_t ub = kernels::UpperBoundKVStrided(
+        body, sizeof(ChildEntry), hdr.count, e.key, e.value);
+    const uint32_t idx = ub == 0 ? 0 : static_cast<uint32_t>(ub - 1);
     PageId child;
-    if (hdr.pad[0] == kNodeV3) {
-      ub = kernels::UpperBoundKVPacked(
-          reinterpret_cast<const int64_t*>(body),
-          reinterpret_cast<const uint64_t*>(body + hdr.count * 8), hdr.count,
-          e.key, e.value);
-      const uint32_t idx = ub == 0 ? 0 : static_cast<uint32_t>(ub - 1);
-      std::memcpy(&child, body + hdr.count * 16 + idx * sizeof(PageId),
-                  sizeof(PageId));
-      if (path != nullptr) path->push_back({cur, idx});
-    } else {
-      ub = kernels::UpperBoundKVStrided(body, sizeof(ChildEntry), hdr.count,
-                                        e.key, e.value);
-      const uint32_t idx = ub == 0 ? 0 : static_cast<uint32_t>(ub - 1);
-      std::memcpy(&child,
-                  body + idx * sizeof(ChildEntry) + offsetof(ChildEntry, child),
-                  sizeof(PageId));
-      if (path != nullptr) path->push_back({cur, idx});
-    }
+    std::memcpy(&child,
+                body + idx * sizeof(ChildEntry) + offsetof(ChildEntry, child),
+                sizeof(PageId));
+    if (path != nullptr) path->push_back({cur, idx});
     cur = child;
   }
 }
@@ -571,8 +512,7 @@ Status BPlusTree::Get(int64_t key, uint64_t* value, bool* found) {
   PageId leaf;
   PC_RETURN_IF_ERROR(DescendToLeaf({key, 0}, nullptr, &leaf));
   std::vector<std::byte> buf;
-  // Probe in place across both body formats; a v3 leaf searches its dense
-  // key array without reinterleaving the page.
+  // Probe the leaf in place, without decoding it into a Node.
   auto probe = [&](size_t* pos, PageId* next) -> Status {
     NodeHeader hdr;
     std::memcpy(&hdr, buf.data(), sizeof(hdr));
@@ -580,30 +520,16 @@ Status BPlusTree::Get(int64_t key, uint64_t* value, bool* found) {
     if (hdr.is_leaf == 0) return Status::Corruption("expected a leaf node");
     *next = hdr.next;
     const std::byte* body = buf.data() + sizeof(hdr);
-    if (hdr.pad[0] == kNodeV3) {
-      const auto* keys = reinterpret_cast<const int64_t*>(body);
-      const auto* vals =
-          reinterpret_cast<const uint64_t*>(body + hdr.count * 8);
-      const size_t i =
-          kernels::LowerBoundKVPacked(keys, vals, hdr.count, key, 0);
-      *pos = i;
-      if (i < hdr.count && keys[i] == key) {
+    const size_t i = kernels::LowerBoundKV(body, hdr.count, key, 0);
+    if (i < hdr.count) {
+      BTreeEntry e;
+      std::memcpy(&e, body + i * sizeof(BTreeEntry), sizeof(e));
+      if (e.key == key) {
         *found = true;
-        *value = vals[i];
-      }
-    } else {
-      const size_t i = kernels::LowerBoundKV(body, hdr.count, key, 0);
-      *pos = i;
-      if (i < hdr.count) {
-        BTreeEntry e;
-        std::memcpy(&e, body + i * sizeof(BTreeEntry), sizeof(e));
-        if (e.key == key) {
-          *found = true;
-          *value = e.value;
-        }
+        *value = e.value;
       }
     }
-    *pos = hdr.count - *pos;  // records at or after the probe
+    *pos = hdr.count - i;  // records at or after the probe
     return Status::OK();
   };
   PC_RETURN_IF_ERROR(ReadPage(leaf, &buf));

@@ -4,8 +4,6 @@
 #include <cstddef>
 #include <cstring>
 
-#include "kernels/search.h"
-
 namespace pathcache {
 
 Status XSortedBaseline::Build(std::vector<Point> points) {
@@ -15,8 +13,7 @@ Status XSortedBaseline::Build(std::vector<Point> points) {
   n_ = points.size();
   if (n_ == 0) return index_.Init();
   std::sort(points.begin(), points.end(), LessByX);
-  auto info = BuildBlockList<Point>(dev_, std::span<const Point>(points),
-                                    offsetof(Point, x));
+  auto info = BuildBlockList<Point>(dev_, std::span<const Point>(points));
   if (!info.ok()) return info.status();
   pages_ = info.value().pages;
   data_ = info.value().ref;
@@ -66,46 +63,21 @@ Status XSortedBaseline::Scan(int64_t x_lo, int64_t x_hi, int64_t y_min,
     if (stats != nullptr) ++stats->ancestor;
     BlockPageHeader hdr;
     std::memcpy(&hdr, buf.data(), sizeof(hdr));
-    PC_RETURN_IF_ERROR(
-        CheckBlockPageHeader(hdr, cap, sizeof(Point), dev_->page_size()));
+    PC_RETURN_IF_ERROR(CheckBlockPageHeader(hdr, cap));
     uint64_t qual = 0;
-    if (codec::IsPacked(hdr.count) &&
-        codec::KeyOffset(hdr.count) == offsetof(Point, x)) {
-      // v3 packed page: the ascending-x stop probes the dense key array.
-      const PackedPageView<Point> v =
-          PackedPageView<Point>::From(buf.data(), hdr);
-      const size_t lim =
-          kernels::FindFirstAbove(v.keys, sizeof(int64_t), v.count, x_hi);
-      for (size_t i = 0; i < lim; ++i) {
-        const int64_t y = v.I64Field(i, offsetof(Point, y));
-        if (v.keys[i] >= x_lo && y >= y_min) {
-          out->push_back(
-              Point{v.keys[i], y, v.U64Field(i, offsetof(Point, id))});
-          ++qual;
-        }
-      }
-      if (lim < v.count) {
+    pts.clear();
+    AppendBlockRecords(buf.data(), hdr, &pts);
+    for (const Point& p : pts) {
+      if (p.x > x_hi) {
         if (stats != nullptr) {
           ++(qual >= cap ? stats->useful : stats->wasteful);
           stats->records_reported = out->size();
         }
         return Status::OK();
       }
-    } else {
-      pts.clear();
-      AppendBlockRecords(buf.data(), hdr, &pts);
-      for (const Point& p : pts) {
-        if (p.x > x_hi) {
-          if (stats != nullptr) {
-            ++(qual >= cap ? stats->useful : stats->wasteful);
-            stats->records_reported = out->size();
-          }
-          return Status::OK();
-        }
-        if (p.x >= x_lo && p.y >= y_min) {
-          out->push_back(p);
-          ++qual;
-        }
+      if (p.x >= x_lo && p.y >= y_min) {
+        out->push_back(p);
+        ++qual;
       }
     }
     if (stats != nullptr) ++(qual >= cap ? stats->useful : stats->wasteful);

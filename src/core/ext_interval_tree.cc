@@ -122,8 +122,7 @@ Status ExtIntervalTree::Build(std::vector<Interval> intervals) {
     rights[i] = nodes[i].right;
     if (nodes[i].is_leaf) {
       auto pl = BuildBlockList<Interval>(
-          dev_, std::span<const Interval>(nodes[i].ivs),
-          offsetof(Interval, lo));
+          dev_, std::span<const Interval>(nodes[i].ivs));
       if (!pl.ok()) return pl.status();
       for (PageId p : pl.value().pages) owned_pages_.push_back(p);
       storage_.points += pl.value().pages.size();
@@ -142,13 +141,11 @@ Status ExtIntervalTree::Build(std::vector<Interval> intervals) {
                 if (a.hi != b.hi) return a.hi > b.hi;
                 return a.id < b.id;
               });
-    // L-lists scan ascending lo, R-lists descending hi: pack each on its
-    // scan key (format v3).
-    auto li = BuildBlockList<Interval>(
-        dev_, std::span<const Interval>(l_sorted[i]), offsetof(Interval, lo));
+    auto li =
+        BuildBlockList<Interval>(dev_, std::span<const Interval>(l_sorted[i]));
     if (!li.ok()) return li.status();
-    auto ri = BuildBlockList<Interval>(
-        dev_, std::span<const Interval>(r_sorted[i]), offsetof(Interval, hi));
+    auto ri =
+        BuildBlockList<Interval>(dev_, std::span<const Interval>(r_sorted[i]));
     if (!ri.ok()) return ri.status();
     for (PageId p : li.value().pages) owned_pages_.push_back(p);
     for (PageId p : ri.value().pages) owned_pages_.push_back(p);
@@ -216,11 +213,11 @@ Status ExtIntervalTree::Build(std::vector<Interval> intervals) {
       if (a.hi != b.hi) return a.hi > b.hi;
       return a.id < b.id;
     });
-    auto cli = BuildBlockList<SrcInterval>(
-        dev_, std::span<const SrcInterval>(cl), offsetof(SrcInterval, lo));
+    auto cli =
+        BuildBlockList<SrcInterval>(dev_, std::span<const SrcInterval>(cl));
     if (!cli.ok()) return cli.status();
-    auto cri = BuildBlockList<SrcInterval>(
-        dev_, std::span<const SrcInterval>(cr), offsetof(SrcInterval, hi));
+    auto cri =
+        BuildBlockList<SrcInterval>(dev_, std::span<const SrcInterval>(cr));
     if (!cri.ok()) return cri.status();
     cache.a_pages = cli.value().pages;
     cache.s_pages = cri.value().pages;
@@ -272,32 +269,6 @@ Status ExtIntervalTree::ScanList(int64_t q, PageId page, bool is_l_list,
     PC_RETURN_IF_ERROR(view.Load(dev_, cur));
     Bump(stats, role);
     uint64_t qual = 0;
-    const size_t key_off =
-        is_l_list ? offsetof(Interval, lo) : offsetof(Interval, hi);
-    if (view.is_packed() && view.key_offset() == key_off) {
-      // v3 packed page: the scan key (lo on L-lists, hi on R-lists) is the
-      // dense key array; qualifying records reassemble field-wise.
-      const PackedPageView<Interval> v = view.packed();
-      const size_t lim =
-          is_l_list
-              ? kernels::FindFirstAbove(v.keys, sizeof(int64_t), v.count, q)
-              : kernels::FindFirstBelow(v.keys, sizeof(int64_t), v.count, q);
-      for (size_t i = 0; i < lim; ++i) {
-        if (consumed != nullptr) ++*consumed;
-        const Interval iv{
-            is_l_list ? v.keys[i] : v.I64Field(i, offsetof(Interval, lo)),
-            is_l_list ? v.I64Field(i, offsetof(Interval, hi)) : v.keys[i],
-            v.U64Field(i, offsetof(Interval, id))};
-        if (iv.Contains(q)) {
-          out->push_back(iv);
-          ++qual;
-        }
-      }
-      Classify(stats, qual, cap);
-      if (lim < v.count) return Status::OK();
-      cur = view.next();
-      continue;
-    }
     const auto recs = view.records();
     // The stop record (first lo > q on L-lists, first hi < q on R-lists)
     // is found in one vectorized pass over the key column.
@@ -365,29 +336,6 @@ Status ExtIntervalTree::ProcessCache(int64_t q, PageId cache_page,
     }
     Classify(stats, qual, src_cap);
   };
-  auto scan_cl_packed = [&](const PackedPageView<SrcInterval>& v) {
-    Bump(stats, &QueryStats::cache);
-    uint64_t qual = 0;
-    const size_t limit =
-        kernels::FindFirstAbove(v.keys, sizeof(int64_t), v.count, q);
-    if (limit < v.count) stop = true;
-    for (size_t i = 0; i < limit; ++i) {
-      const uint32_t src = v.U32Field(i, offsetof(SrcInterval, src));
-      if (src >= cl_consumed.size()) {
-        bad_src = true;
-        stop = true;
-        break;
-      }
-      ++cl_consumed[src];
-      const Interval iv{v.keys[i], v.I64Field(i, offsetof(SrcInterval, hi)),
-                        v.U64Field(i, offsetof(SrcInterval, id))};
-      if (iv.Contains(q)) {
-        out->push_back(iv);
-        ++qual;
-      }
-    }
-    Classify(stats, qual, src_cap);
-  };
   if (opts_.enable_readahead &&
       cache.a_tails.size() == cache.a_pages.size()) {
     const size_t n_tails = cache.a_tails.size();
@@ -398,29 +346,16 @@ Status ExtIntervalTree::ProcessCache(int64_t q, PageId cache_page,
         dev_, std::span<const PageId>(cache.a_pages.data(), prefix));
     std::vector<SrcInterval> recs;
     while (!cur.done()) {
-      const std::byte* page = nullptr;
-      BlockPageHeader bh;
-      PC_RETURN_IF_ERROR(cur.NextBlockRaw(&page, &bh));
-      if (codec::IsPacked(bh.count) &&
-          codec::KeyOffset(bh.count) == offsetof(SrcInterval, lo)) {
-        scan_cl_packed(PackedPageView<SrcInterval>::From(page, bh));
-      } else {
-        recs.clear();
-        AppendBlockRecords(page, bh, &recs);
-        scan_cl_page(recs);
-      }
+      recs.clear();
+      PC_RETURN_IF_ERROR(cur.NextBlock(&recs));
+      scan_cl_page(recs);
     }
   } else {
     BlockPageView<SrcInterval> view;
     for (PageId p : cache.a_pages) {
       if (stop) break;
       PC_RETURN_IF_ERROR(view.Load(dev_, p));
-      if (view.is_packed() &&
-          view.key_offset() == offsetof(SrcInterval, lo)) {
-        scan_cl_packed(view.packed());
-      } else {
-        scan_cl_page(view.records());
-      }
+      scan_cl_page(view.records());
     }
   }
   if (bad_src) {
@@ -465,29 +400,6 @@ Status ExtIntervalTree::ProcessCache(int64_t q, PageId cache_page,
     }
     Classify(stats, qual, src_cap);
   };
-  auto scan_cr_packed = [&](const PackedPageView<SrcInterval>& v) {
-    Bump(stats, &QueryStats::cache);
-    uint64_t qual = 0;
-    const size_t limit =
-        kernels::FindFirstBelow(v.keys, sizeof(int64_t), v.count, q);
-    if (limit < v.count) stop = true;
-    for (size_t i = 0; i < limit; ++i) {
-      const uint32_t src = v.U32Field(i, offsetof(SrcInterval, src));
-      if (src >= cr_consumed.size()) {
-        bad_src = true;
-        stop = true;
-        break;
-      }
-      ++cr_consumed[src];
-      const Interval iv{v.I64Field(i, offsetof(SrcInterval, lo)), v.keys[i],
-                        v.U64Field(i, offsetof(SrcInterval, id))};
-      if (iv.Contains(q)) {
-        out->push_back(iv);
-        ++qual;
-      }
-    }
-    Classify(stats, qual, src_cap);
-  };
   if (opts_.enable_readahead &&
       cache.s_tails.size() == cache.s_pages.size()) {
     const size_t n_tails = cache.s_tails.size();
@@ -498,29 +410,16 @@ Status ExtIntervalTree::ProcessCache(int64_t q, PageId cache_page,
         dev_, std::span<const PageId>(cache.s_pages.data(), prefix));
     std::vector<SrcInterval> recs;
     while (!cur.done()) {
-      const std::byte* page = nullptr;
-      BlockPageHeader bh;
-      PC_RETURN_IF_ERROR(cur.NextBlockRaw(&page, &bh));
-      if (codec::IsPacked(bh.count) &&
-          codec::KeyOffset(bh.count) == offsetof(SrcInterval, hi)) {
-        scan_cr_packed(PackedPageView<SrcInterval>::From(page, bh));
-      } else {
-        recs.clear();
-        AppendBlockRecords(page, bh, &recs);
-        scan_cr_page(recs);
-      }
+      recs.clear();
+      PC_RETURN_IF_ERROR(cur.NextBlock(&recs));
+      scan_cr_page(recs);
     }
   } else {
     BlockPageView<SrcInterval> view;
     for (PageId p : cache.s_pages) {
       if (stop) break;
       PC_RETURN_IF_ERROR(view.Load(dev_, p));
-      if (view.is_packed() &&
-          view.key_offset() == offsetof(SrcInterval, hi)) {
-        scan_cr_packed(view.packed());
-      } else {
-        scan_cr_page(view.records());
-      }
+      scan_cr_page(view.records());
     }
   }
   if (bad_src) {
@@ -568,32 +467,14 @@ Status ExtIntervalTree::Stab(int64_t q, std::vector<Interval>* out,
         if (opts_.enable_readahead) pool.EnableChainReadahead();
         std::vector<Interval> ivs;
         while (!pool.done()) {
-          const std::byte* page = nullptr;
-          BlockPageHeader bh;
-          PC_RETURN_IF_ERROR(pool.NextBlockRaw(&page, &bh));
+          ivs.clear();
+          PC_RETURN_IF_ERROR(pool.NextBlock(&ivs));
           Bump(stats, &QueryStats::descendant);
           uint64_t qual = 0;
-          if (codec::IsPacked(bh.count) &&
-              codec::KeyOffset(bh.count) == offsetof(Interval, lo)) {
-            const PackedPageView<Interval> v =
-                PackedPageView<Interval>::From(page, bh);
-            for (size_t i = 0; i < v.count; ++i) {
-              const Interval iv{v.keys[i],
-                                v.I64Field(i, offsetof(Interval, hi)),
-                                v.U64Field(i, offsetof(Interval, id))};
-              if (iv.Contains(q)) {
-                out->push_back(iv);
-                ++qual;
-              }
-            }
-          } else {
-            ivs.clear();
-            AppendBlockRecords(page, bh, &ivs);
-            for (const auto& iv : ivs) {
-              if (iv.Contains(q)) {
-                out->push_back(iv);
-                ++qual;
-              }
+          for (const auto& iv : ivs) {
+            if (iv.Contains(q)) {
+              out->push_back(iv);
+              ++qual;
             }
           }
           Classify(stats, qual, cap);

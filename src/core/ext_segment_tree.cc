@@ -126,11 +126,8 @@ Status ExtSegmentTree::Build(std::vector<Interval> intervals) {
     lefts[i] = nodes[i].left;
     rights[i] = nodes[i].right;
     if (!nodes[i].cover.empty()) {
-      // All interval lists pack on lo (format v3): the stab check reads lo
-      // from the dense key array and hi at a fixed payload stride.
       auto info = BuildBlockList<Interval>(
-          dev_, std::span<const Interval>(nodes[i].cover),
-          offsetof(Interval, lo));
+          dev_, std::span<const Interval>(nodes[i].cover));
       if (!info.ok()) return info.status();
       for (PageId p : info.value().pages) owned_pages_.push_back(p);
       storage_.points += info.value().pages.size();
@@ -138,8 +135,7 @@ Status ExtSegmentTree::Build(std::vector<Interval> intervals) {
     }
     if (!nodes[i].ends.empty()) {
       auto info = BuildBlockList<Interval>(
-          dev_, std::span<const Interval>(nodes[i].ends),
-          offsetof(Interval, lo));
+          dev_, std::span<const Interval>(nodes[i].ends));
       if (!info.ok()) return info.status();
       for (PageId p : info.value().pages) owned_pages_.push_back(p);
       storage_.points += info.value().pages.size();
@@ -176,8 +172,8 @@ Status ExtSegmentTree::Build(std::vector<Interval> intervals) {
       }
     }
     if (cache_ivs.empty()) continue;
-    auto ci = BuildBlockList<Interval>(
-        dev_, std::span<const Interval>(cache_ivs), offsetof(Interval, lo));
+    auto ci =
+        BuildBlockList<Interval>(dev_, std::span<const Interval>(cache_ivs));
     if (!ci.ok()) return ci.status();
     for (PageId p : ci.value().pages) owned_pages_.push_back(p);
     storage_.cache_blocks += ci.value().pages.size();
@@ -197,47 +193,22 @@ Status ExtSegmentTree::ReadIntervalList(PageId head,
   if (opts_.enable_readahead) cur.EnableChainReadahead();
   std::vector<Interval> ivs;
   while (!cur.done()) {
-    const std::byte* page = nullptr;
-    BlockPageHeader bh;
-    PC_RETURN_IF_ERROR(cur.NextBlockRaw(&page, &bh));
+    ivs.clear();
+    PC_RETURN_IF_ERROR(cur.NextBlock(&ivs));
     if (stats != nullptr) stats->*role += 1;
     uint64_t qual = 0;
     // Segment-tree cover lists are allocated to nodes whose span the
     // interval covers, so "every record on the page stabs q" is the common
     // case; confirm it with one vectorized pass and bulk-append, falling
     // back to the per-record filter on mixed pages.
-    if (codec::IsPacked(bh.count) &&
-        codec::KeyOffset(bh.count) == offsetof(Interval, lo)) {
-      // v3 packed page: lo is the dense key array; hi sits at payload
-      // offset 0 with a 16-byte stride.  "All stab q" decomposes into
-      // no lo above q and no hi below q, each one strided scan.
-      const PackedPageView<Interval> v = PackedPageView<Interval>::From(page,
-                                                                        bh);
-      const bool all =
-          kernels::FindFirstAbove(v.keys, sizeof(int64_t), v.count, q) ==
-              v.count &&
-          kernels::FindFirstBelow(v.pays, PackedPageView<Interval>::kPayStride,
-                                  v.count, q) == v.count;
-      for (size_t i = 0; i < v.count; ++i) {
-        const Interval iv{v.keys[i], v.I64Field(i, offsetof(Interval, hi)),
-                          v.U64Field(i, offsetof(Interval, id))};
-        if (all || iv.Contains(q)) {
+    if (kernels::AllContain24(ivs.data(), ivs.size(), q)) {
+      out->insert(out->end(), ivs.begin(), ivs.end());
+      qual = ivs.size();
+    } else {
+      for (const auto& iv : ivs) {
+        if (iv.Contains(q)) {
           out->push_back(iv);
           ++qual;
-        }
-      }
-    } else {
-      ivs.clear();
-      AppendBlockRecords(page, bh, &ivs);
-      if (kernels::AllContain24(ivs.data(), ivs.size(), q)) {
-        out->insert(out->end(), ivs.begin(), ivs.end());
-        qual = ivs.size();
-      } else {
-        for (const auto& iv : ivs) {
-          if (iv.Contains(q)) {
-            out->push_back(iv);
-            ++qual;
-          }
         }
       }
     }

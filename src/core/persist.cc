@@ -54,6 +54,11 @@ Status ReadManifestHeader(PageDevice* dev, PageId page,
         " is newer than this build understands (" +
         std::to_string(kManifestFormatVersion) + ")");
   }
+  if (out->format_version == kDroppedPackedManifestVersion) {
+    return Status::NotSupported(
+        "manifest format version 4 may hold pages in the packed page format "
+        "v3, which this build no longer reads; rebuild the store");
+  }
   return Status::OK();
 }
 

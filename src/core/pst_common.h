@@ -159,15 +159,19 @@ inline constexpr uint64_t kExtIntTreeMagic = 0x35545350'43500005ULL;
 /// `header_crc` (CRC32C over the header bytes with that field zeroed) so a
 /// single flipped bit anywhere in the header — including fields no open
 /// path interprets, like the storage breakdown — degrades to Corruption
-/// instead of a silently wrong handle; version 4 marks stores whose block
-/// pages may use the packed (deinterleaved) page format v3 of
-/// io/page_codec.h — each block page self-describes via its count word, so
-/// readers need no per-store flag, and version-3 stores (all-interleaved)
-/// open unchanged.  Readers verify the CRC on every manifest (all extant
-/// stores are written by this code), accept any version <= current, and
-/// reject newer ones with Corruption instead of misparsing pages from a
-/// future writer.
-inline constexpr uint32_t kManifestFormatVersion = 4;
+/// instead of a silently wrong handle; version 4 marked stores whose block
+/// pages and B+-tree nodes might use the deinterleaved page format v3
+/// (keys split from payloads).  That format is dropped: no reader decodes
+/// it, so a version-4 manifest is rejected with NotSupported.  Version 5
+/// writes only the interleaved layout, the same bytes versions 1-3 always
+/// held, so those older stores open unchanged.  Readers verify the CRC on
+/// every manifest (all extant stores are written by this code), accept
+/// versions 1-3 and 5, and reject newer ones with Corruption instead of
+/// misparsing pages from a future writer.
+inline constexpr uint32_t kManifestFormatVersion = 5;
+
+/// The one manifest version that may hold page format v3, now unreadable.
+inline constexpr uint32_t kDroppedPackedManifestVersion = 4;
 
 struct PstManifestHeader {
   uint64_t magic = 0;

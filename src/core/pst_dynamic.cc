@@ -19,8 +19,7 @@ Status ReadPointBlockPage(PageDevice* dev, PageId page,
   BlockPageHeader hdr;
   std::memcpy(&hdr, buf.data(), sizeof(hdr));
   PC_RETURN_IF_ERROR(
-      CheckBlockPageHeader(hdr, RecordsPerPage<Point>(dev->page_size()),
-                           sizeof(Point), dev->page_size()));
+      CheckBlockPageHeader(hdr, RecordsPerPage<Point>(dev->page_size())));
   AppendBlockRecords(buf.data(), hdr, out);
   if (next != nullptr) *next = hdr.next;
   return Status::OK();
@@ -33,8 +32,7 @@ Status ReadSrcBlockPage(PageDevice* dev, PageId page,
   BlockPageHeader hdr;
   std::memcpy(&hdr, buf.data(), sizeof(hdr));
   PC_RETURN_IF_ERROR(
-      CheckBlockPageHeader(hdr, RecordsPerPage<SrcPoint>(dev->page_size()),
-                           sizeof(SrcPoint), dev->page_size()));
+      CheckBlockPageHeader(hdr, RecordsPerPage<SrcPoint>(dev->page_size())));
   AppendBlockRecords(buf.data(), hdr, out);
   return Status::OK();
 }

@@ -69,9 +69,8 @@ Status ExternalPst::Build(std::vector<Point> points) {
   std::vector<PstNodeRec> recs(nodes.size());
   std::vector<int32_t> lefts(nodes.size()), rights(nodes.size());
   for (size_t i = 0; i < nodes.size(); ++i) {
-    // Points pages pack on y (format v3): the descend scan's stop key.
-    auto info = BuildBlockList<Point>(
-        dev_, std::span<const Point>(nodes[i].pts), offsetof(Point, y));
+    auto info =
+        BuildBlockList<Point>(dev_, std::span<const Point>(nodes[i].pts));
     if (!info.ok()) return info.status();
     for (PageId p : info.value().pages) owned_pages_.push_back(p);
     storage_.points += info.value().pages.size();
@@ -162,11 +161,11 @@ Status ExternalPst::Build(std::vector<Point> points) {
                   return GreaterByY(a.ToPoint(), b.ToPoint());
                 });
       // A-lists scan on x, S-lists on y: each packs its own scan key.
-      auto a_info = BuildBlockList<SrcPoint>(
-          dev_, std::span<const SrcPoint>(a_recs), offsetof(SrcPoint, x));
+      auto a_info =
+          BuildBlockList<SrcPoint>(dev_, std::span<const SrcPoint>(a_recs));
       if (!a_info.ok()) return a_info.status();
-      auto s_info = BuildBlockList<SrcPoint>(
-          dev_, std::span<const SrcPoint>(s_recs), offsetof(SrcPoint, y));
+      auto s_info =
+          BuildBlockList<SrcPoint>(dev_, std::span<const SrcPoint>(s_recs));
       if (!s_info.ok()) return s_info.status();
       cache.a_pages = a_info.value().pages;
       cache.s_pages = s_info.value().pages;
@@ -295,25 +294,6 @@ Status ExternalPst::QueryWithCaches(const TwoSidedQuery& q,
       }
       Classify(stats, qual, src_cap);
     };
-    // v3 packed pages: the stop probe runs over the dense key array (8 keys
-    // per cache line) and qualifying records are reassembled field-wise —
-    // same records, same stop, same accounting as scan_a_page.
-    auto scan_a_packed = [&](const PackedPageView<SrcPoint>& v) {
-      Bump(stats, &QueryStats::cache);
-      uint64_t qual = 0;
-      const size_t limit =
-          kernels::FindFirstBelow(v.keys, sizeof(int64_t), v.count, q.x_min);
-      if (limit < v.count) stop = true;
-      for (size_t i = 0; i < limit; ++i) {
-        const int64_t y = v.I64Field(i, offsetof(SrcPoint, y));
-        if (y >= q.y_min) {
-          out->push_back(
-              Point{v.keys[i], y, v.U64Field(i, offsetof(SrcPoint, id))});
-          ++qual;
-        }
-      }
-      Classify(stats, qual, src_cap);
-    };
     if (opts_.enable_readahead &&
         cache.a_tails.size() == cache.a_pages.size()) {
       const size_t n_tails = cache.a_tails.size();
@@ -324,17 +304,9 @@ Status ExternalPst::QueryWithCaches(const TwoSidedQuery& q,
           dev_, std::span<const PageId>(cache.a_pages.data(), prefix));
       std::vector<SrcPoint> recs;
       while (!cur.done()) {
-        const std::byte* page = nullptr;
-        BlockPageHeader bh;
-        PC_RETURN_IF_ERROR(cur.NextBlockRaw(&page, &bh));
-        if (codec::IsPacked(bh.count) &&
-            codec::KeyOffset(bh.count) == offsetof(SrcPoint, x)) {
-          scan_a_packed(PackedPageView<SrcPoint>::From(page, bh));
-        } else {
-          recs.clear();
-          AppendBlockRecords(page, bh, &recs);
-          scan_a_page(recs);
-        }
+        recs.clear();
+        PC_RETURN_IF_ERROR(cur.NextBlock(&recs));
+        scan_a_page(recs);
       }
     } else {
       // Page-at-a-time early-stopping scan, filtered in place (zero-copy on
@@ -343,11 +315,7 @@ Status ExternalPst::QueryWithCaches(const TwoSidedQuery& q,
       for (PageId p : cache.a_pages) {
         if (stop) break;
         PC_RETURN_IF_ERROR(view.Load(dev_, p));
-        if (view.is_packed() && view.key_offset() == offsetof(SrcPoint, x)) {
-          scan_a_packed(view.packed());
-        } else {
-          scan_a_page(view.records());
-        }
+        scan_a_page(view.records());
       }
     }
 
@@ -383,29 +351,6 @@ Status ExternalPst::QueryWithCaches(const TwoSidedQuery& q,
       }
       Classify(stats, qual, src_cap);
     };
-    auto scan_s_packed = [&](const PackedPageView<SrcPoint>& v) {
-      Bump(stats, &QueryStats::cache);
-      uint64_t qual = 0;
-      const size_t limit =
-          kernels::FindFirstBelow(v.keys, sizeof(int64_t), v.count, q.y_min);
-      if (limit < v.count) stop = true;
-      for (size_t i = 0; i < limit; ++i) {
-        const uint32_t src = v.U32Field(i, offsetof(SrcPoint, src));
-        if (src >= sib_qual.size()) {
-          bad_src = true;
-          stop = true;
-          break;
-        }
-        const int64_t x = v.I64Field(i, offsetof(SrcPoint, x));
-        if (x >= q.x_min) {
-          out->push_back(
-              Point{x, v.keys[i], v.U64Field(i, offsetof(SrcPoint, id))});
-          ++qual;
-          ++sib_qual[src];
-        }
-      }
-      Classify(stats, qual, src_cap);
-    };
     if (opts_.enable_readahead &&
         cache.s_tails.size() == cache.s_pages.size()) {
       const size_t n_tails = cache.s_tails.size();
@@ -416,28 +361,16 @@ Status ExternalPst::QueryWithCaches(const TwoSidedQuery& q,
           dev_, std::span<const PageId>(cache.s_pages.data(), prefix));
       std::vector<SrcPoint> recs;
       while (!cur.done()) {
-        const std::byte* page = nullptr;
-        BlockPageHeader bh;
-        PC_RETURN_IF_ERROR(cur.NextBlockRaw(&page, &bh));
-        if (codec::IsPacked(bh.count) &&
-            codec::KeyOffset(bh.count) == offsetof(SrcPoint, y)) {
-          scan_s_packed(PackedPageView<SrcPoint>::From(page, bh));
-        } else {
-          recs.clear();
-          AppendBlockRecords(page, bh, &recs);
-          scan_s_page(recs);
-        }
+        recs.clear();
+        PC_RETURN_IF_ERROR(cur.NextBlock(&recs));
+        scan_s_page(recs);
       }
     } else {
       BlockPageView<SrcPoint> view;
       for (PageId p : cache.s_pages) {
         if (stop) break;
         PC_RETURN_IF_ERROR(view.Load(dev_, p));
-        if (view.is_packed() && view.key_offset() == offsetof(SrcPoint, y)) {
-          scan_s_packed(view.packed());
-        } else {
-          scan_s_page(view.records());
-        }
+        scan_s_page(view.records());
       }
     }
     if (bad_src) {
@@ -464,25 +397,12 @@ Status ExternalPst::QueryUncached(const TwoSidedQuery& q,
   const uint32_t pt_cap = RecordsPerPage<Point>(dev_->page_size());
   std::vector<NodeRef> descend_todo;
   BlockPageView<Point> view;
-  // Full filter of one loaded points page; the packed branch reassembles
-  // records field-wise instead of decoding the whole page into scratch.
+  // Full filter of one loaded points page.
   auto filter_page = [&](uint64_t* qual) {
-    if (view.is_packed() && view.key_offset() == offsetof(Point, y)) {
-      const PackedPageView<Point> v = view.packed();
-      for (size_t i = 0; i < v.count; ++i) {
-        const Point p{v.I64Field(i, offsetof(Point, x)), v.keys[i],
-                      v.U64Field(i, offsetof(Point, id))};
-        if (q.Contains(p)) {
-          out->push_back(p);
-          ++*qual;
-        }
-      }
-    } else {
-      for (const Point& p : view.records()) {
-        if (q.Contains(p)) {
-          out->push_back(p);
-          ++*qual;
-        }
+    for (const Point& p : view.records()) {
+      if (q.Contains(p)) {
+        out->push_back(p);
+        ++*qual;
       }
     }
     Classify(stats, *qual, pt_cap);
@@ -546,30 +466,14 @@ Status ExternalPst::DescendDescendants(const TwoSidedQuery& q,
       cur.EnableChainReadahead();
       std::vector<Point> pts;
       while (!cur.done()) {
-        const std::byte* page = nullptr;
-        BlockPageHeader bh;
-        PC_RETURN_IF_ERROR(cur.NextBlockRaw(&page, &bh));
+        pts.clear();
+        PC_RETURN_IF_ERROR(cur.NextBlock(&pts));
         Bump(stats, &QueryStats::descendant);
         uint64_t block_qual = 0;
-        if (codec::IsPacked(bh.count) &&
-            codec::KeyOffset(bh.count) == offsetof(Point, y)) {
-          const PackedPageView<Point> v = PackedPageView<Point>::From(page, bh);
-          for (size_t i = 0; i < v.count; ++i) {
-            const int64_t x = v.I64Field(i, offsetof(Point, x));
-            if (x >= q.x_min && v.keys[i] >= q.y_min) {
-              out->push_back(
-                  Point{x, v.keys[i], v.U64Field(i, offsetof(Point, id))});
-              ++block_qual;
-            }
-          }
-        } else {
-          pts.clear();
-          AppendBlockRecords(page, bh, &pts);
-          for (const Point& p : pts) {
-            if (p.x >= q.x_min && p.y >= q.y_min) {
-              out->push_back(p);
-              ++block_qual;
-            }
+        for (const Point& p : pts) {
+          if (p.x >= q.x_min && p.y >= q.y_min) {
+            out->push_back(p);
+            ++block_qual;
           }
         }
         Classify(stats, block_qual, pt_cap);
@@ -584,32 +488,16 @@ Status ExternalPst::DescendDescendants(const TwoSidedQuery& q,
         PC_RETURN_IF_ERROR(view.Load(dev_, page));
         Bump(stats, &QueryStats::descendant);
         uint64_t block_qual = 0;
-        if (view.is_packed() && view.key_offset() == offsetof(Point, y)) {
-          // Stop probe over the dense y array, then reassemble the prefix.
-          const PackedPageView<Point> v = view.packed();
-          const size_t lim = kernels::FindFirstBelow(v.keys, sizeof(int64_t),
-                                                     v.count, q.y_min);
-          if (lim < v.count) all = false;
-          for (size_t i = 0; i < lim; ++i) {
-            const int64_t x = v.I64Field(i, offsetof(Point, x));
-            if (x >= q.x_min) {
-              out->push_back(
-                  Point{x, v.keys[i], v.U64Field(i, offsetof(Point, id))});
-              ++block_qual;
-            }
-          }
-        } else {
-          const auto recs = view.records();
-          const size_t lim =
-              recs.empty() ? 0
-                           : kernels::FindFirstBelow(&recs[0].y, sizeof(Point),
-                                                     recs.size(), q.y_min);
-          if (lim < recs.size()) all = false;
-          for (const Point& p : recs.first(lim)) {
-            if (p.x >= q.x_min) {
-              out->push_back(p);
-              ++block_qual;
-            }
+        const auto recs = view.records();
+        const size_t lim =
+            recs.empty() ? 0
+                         : kernels::FindFirstBelow(&recs[0].y, sizeof(Point),
+                                                   recs.size(), q.y_min);
+        if (lim < recs.size()) all = false;
+        for (const Point& p : recs.first(lim)) {
+          if (p.x >= q.x_min) {
+            out->push_back(p);
+            ++block_qual;
           }
         }
         Classify(stats, block_qual, pt_cap);

@@ -7,8 +7,6 @@
 #include <cstring>
 #include <unordered_set>
 
-#include "kernels/search.h"
-
 #include "core/pst_external.h"
 #include "core/region_tree.h"
 #include "util/mathutil.h"
@@ -62,12 +60,11 @@ Status TwoLevelPst::Build(std::vector<Point> points) {
   for (size_t i = 0; i < nodes.size(); ++i) {
     xsorted[i] = nodes[i].pts;
     std::sort(xsorted[i].begin(), xsorted[i].end(), GreaterByX);
-    auto xr = BuildBlockList<Point>(
-        dev_, std::span<const Point>(xsorted[i]), offsetof(Point, x));
+    auto xr = BuildBlockList<Point>(dev_, std::span<const Point>(xsorted[i]));
     if (!xr.ok()) return xr.status();
     xinfo[i] = std::move(xr).value();
-    auto yr = BuildBlockList<Point>(
-        dev_, std::span<const Point>(nodes[i].pts), offsetof(Point, y));
+    auto yr =
+        BuildBlockList<Point>(dev_, std::span<const Point>(nodes[i].pts));
     if (!yr.ok()) return yr.status();
     yinfo[i] = std::move(yr).value();
     for (PageId p : xinfo[i].pages) owned_pages_.push_back(p);
@@ -183,11 +180,11 @@ Status TwoLevelPst::Build(std::vector<Point> points) {
                 [](const SrcPoint& a, const SrcPoint& b) {
                   return GreaterByY(a.ToPoint(), b.ToPoint());
                 });
-      auto a_info = BuildBlockList<SrcPoint>(
-          dev_, std::span<const SrcPoint>(a_recs), offsetof(SrcPoint, x));
+      auto a_info =
+          BuildBlockList<SrcPoint>(dev_, std::span<const SrcPoint>(a_recs));
       if (!a_info.ok()) return a_info.status();
-      auto s_info = BuildBlockList<SrcPoint>(
-          dev_, std::span<const SrcPoint>(s_recs), offsetof(SrcPoint, y));
+      auto s_info =
+          BuildBlockList<SrcPoint>(dev_, std::span<const SrcPoint>(s_recs));
       if (!s_info.ok()) return s_info.status();
       cache.a_pages = a_info.value().pages;
       cache.s_pages = s_info.value().pages;
@@ -233,9 +230,6 @@ Status TwoLevelPst::ScanList(const TwoSidedQuery& q, PageId page, bool by_x,
                              std::vector<Point>* out, QueryStats* stats,
                              uint64_t* qualified, bool* hit_end) const {
   const uint32_t cap = RecordsPerPage<Point>(dev_->page_size());
-  const uint32_t key_off = by_x ? offsetof(Point, x) : offsetof(Point, y);
-  const uint32_t other_off = by_x ? offsetof(Point, y) : offsetof(Point, x);
-  const int64_t bound = by_x ? q.x_min : q.y_min;
   *qualified = 0;
   *hit_end = false;
   BlockPageView<Point> view;
@@ -247,35 +241,15 @@ Status TwoLevelPst::ScanList(const TwoSidedQuery& q, PageId page, bool by_x,
     Bump(stats, role);
     uint64_t block_qual = 0;
     bool stopped = false;
-    if (view.is_packed() && view.key_offset() == key_off) {
-      // The scan key is the packed key: one dense stop probe, then the
-      // qualifying prefix is reassembled record by record.
-      const PackedPageView<Point> v = view.packed();
-      const size_t lim =
-          kernels::FindFirstBelow(v.keys, sizeof(int64_t), v.count, bound);
-      stopped = lim < v.count;
-      for (size_t i = 0; i < lim; ++i) {
-        const int64_t other = v.I64Field(i, other_off);
-        const uint64_t id = v.U64Field(i, offsetof(Point, id));
-        const Point p = by_x ? Point{v.keys[i], other, id}
-                             : Point{other, v.keys[i], id};
-        if (q.Contains(p)) {
-          out->push_back(p);
-          ++block_qual;
-          ++*qualified;
-        }
+    for (const Point& p : view.records()) {
+      if (by_x ? (p.x < q.x_min) : (p.y < q.y_min)) {
+        stopped = true;
+        break;
       }
-    } else {
-      for (const Point& p : view.records()) {
-        if (by_x ? (p.x < q.x_min) : (p.y < q.y_min)) {
-          stopped = true;
-          break;
-        }
-        if (q.Contains(p)) {
-          out->push_back(p);
-          ++block_qual;
-          ++*qualified;
-        }
+      if (q.Contains(p)) {
+        out->push_back(p);
+        ++block_qual;
+        ++*qualified;
       }
     }
     Classify(stats, block_qual, cap);
@@ -325,44 +299,21 @@ Status TwoLevelPst::QueryTwoSided(const TwoSidedQuery& q,
       PC_RETURN_IF_ERROR(aview.Load(dev_, p));
       Bump(stats, &QueryStats::cache);
       uint64_t qual = 0;
-      if (aview.is_packed() && aview.key_offset() == offsetof(SrcPoint, x)) {
-        const PackedPageView<SrcPoint> v = aview.packed();
-        const size_t lim =
-            kernels::FindFirstBelow(v.keys, sizeof(int64_t), v.count, q.x_min);
-        if (lim < v.count) stop = true;
-        for (size_t i = 0; i < lim; ++i) {
-          const uint32_t src = v.U32Field(i, offsetof(SrcPoint, src));
-          if (src == self_skip) continue;
-          if (src >= anc_qual.size()) {
-            return Status::Corruption(
-                "A-list record names an ancestor ordinal beyond the cache's "
-                "ancestor table");
-          }
-          const int64_t y = v.I64Field(i, offsetof(SrcPoint, y));
-          if (y >= q.y_min) {
-            out->push_back(
-                Point{v.keys[i], y, v.U64Field(i, offsetof(SrcPoint, id))});
-            ++qual;
-            ++anc_qual[src];
-          }
+      for (const SrcPoint& sp : aview.records()) {
+        if (sp.x < q.x_min) {
+          stop = true;
+          break;
         }
-      } else {
-        for (const SrcPoint& sp : aview.records()) {
-          if (sp.x < q.x_min) {
-            stop = true;
-            break;
-          }
-          if (sp.src == self_skip) continue;
-          if (sp.src >= anc_qual.size()) {
-            return Status::Corruption(
-                "A-list record names an ancestor ordinal beyond the cache's "
-                "ancestor table");
-          }
-          if (sp.y >= q.y_min) {
-            out->push_back(sp.ToPoint());
-            ++qual;
-            ++anc_qual[sp.src];
-          }
+        if (sp.src == self_skip) continue;
+        if (sp.src >= anc_qual.size()) {
+          return Status::Corruption(
+              "A-list record names an ancestor ordinal beyond the cache's "
+              "ancestor table");
+        }
+        if (sp.y >= q.y_min) {
+          out->push_back(sp.ToPoint());
+          ++qual;
+          ++anc_qual[sp.src];
         }
       }
       Classify(stats, qual, src_cap);
@@ -389,42 +340,20 @@ Status TwoLevelPst::QueryTwoSided(const TwoSidedQuery& q,
       PC_RETURN_IF_ERROR(sview.Load(dev_, p));
       Bump(stats, &QueryStats::cache);
       uint64_t qual = 0;
-      if (sview.is_packed() && sview.key_offset() == offsetof(SrcPoint, y)) {
-        const PackedPageView<SrcPoint> v = sview.packed();
-        const size_t lim =
-            kernels::FindFirstBelow(v.keys, sizeof(int64_t), v.count, q.y_min);
-        if (lim < v.count) stop = true;
-        for (size_t i = 0; i < lim; ++i) {
-          const uint32_t src = v.U32Field(i, offsetof(SrcPoint, src));
-          if (src >= sib_qual.size()) {
-            return Status::Corruption(
-                "S-list record names a sibling ordinal beyond the cache's "
-                "sibling table");
-          }
-          const int64_t x = v.I64Field(i, offsetof(SrcPoint, x));
-          if (x >= q.x_min) {
-            out->push_back(
-                Point{x, v.keys[i], v.U64Field(i, offsetof(SrcPoint, id))});
-            ++qual;
-            ++sib_qual[src];
-          }
+      for (const SrcPoint& sp : sview.records()) {
+        if (sp.y < q.y_min) {
+          stop = true;
+          break;
         }
-      } else {
-        for (const SrcPoint& sp : sview.records()) {
-          if (sp.y < q.y_min) {
-            stop = true;
-            break;
-          }
-          if (sp.src >= sib_qual.size()) {
-            return Status::Corruption(
-                "S-list record names a sibling ordinal beyond the cache's "
-                "sibling table");
-          }
-          if (sp.x >= q.x_min) {
-            out->push_back(sp.ToPoint());
-            ++qual;
-            ++sib_qual[sp.src];
-          }
+        if (sp.src >= sib_qual.size()) {
+          return Status::Corruption(
+              "S-list record names a sibling ordinal beyond the cache's "
+              "sibling table");
+        }
+        if (sp.x >= q.x_min) {
+          out->push_back(sp.ToPoint());
+          ++qual;
+          ++sib_qual[sp.src];
         }
       }
       Classify(stats, qual, src_cap);
@@ -618,8 +547,7 @@ Status TwoLevelPst::CheckStructure() const {
       BlockPageHeader bh;
       std::memcpy(&bh, buf.data(), sizeof(bh));
       PC_RETURN_IF_ERROR(
-          CheckBlockPageHeader(bh, RecordsPerPage<Point>(dev_->page_size()),
-                               sizeof(Point), dev_->page_size()));
+          CheckBlockPageHeader(bh, RecordsPerPage<Point>(dev_->page_size())));
       AppendBlockRecords(buf.data(), bh, out);
       page = bh.next;
     }

@@ -48,8 +48,7 @@ Status ReadPointBlock(PageDevice* dev, PageId page, std::vector<Point>* out,
   BlockPageHeader hdr;
   std::memcpy(&hdr, buf.data(), sizeof(hdr));
   PC_RETURN_IF_ERROR(
-      CheckBlockPageHeader(hdr, RecordsPerPage<Point>(dev->page_size()),
-                           sizeof(Point), dev->page_size()));
+      CheckBlockPageHeader(hdr, RecordsPerPage<Point>(dev->page_size())));
   AppendBlockRecords(buf.data(), hdr, out);
   *next = hdr.next;
   return Status::OK();
@@ -106,9 +105,8 @@ Status ThreeSidedPst::Build(std::vector<Point> points) {
   std::vector<Pst3NodeRec> recs(nodes.size());
   std::vector<int32_t> lefts(nodes.size()), rights(nodes.size());
   for (size_t i = 0; i < nodes.size(); ++i) {
-    // Points pages pack on y (format v3): the descend scan's stop key.
-    auto info = BuildBlockList<Point>(
-        dev_, std::span<const Point>(nodes[i].pts), offsetof(Point, y));
+    auto info =
+        BuildBlockList<Point>(dev_, std::span<const Point>(nodes[i].pts));
     if (!info.ok()) return info.status();
     for (PageId p : info.value().pages) owned_pages_.push_back(p);
     storage_.points += info.value().pages.size();
@@ -176,8 +174,8 @@ Status ThreeSidedPst::Build(std::vector<Point> points) {
       }
       std::sort(a_recs.begin(), a_recs.end(), LessByXId);
       // A-cache is ascending x; x is the scan/stop key.
-      auto a_info = BuildBlockList<SrcPoint>(
-          dev_, std::span<const SrcPoint>(a_recs), offsetof(SrcPoint, x));
+      auto a_info =
+          BuildBlockList<SrcPoint>(dev_, std::span<const SrcPoint>(a_recs));
       if (!a_info.ok()) return a_info.status();
       for (PageId p : a_info.value().pages) owned_pages_.push_back(p);
       storage_.cache_blocks += a_info.value().pages.size();
@@ -250,7 +248,7 @@ Status ThreeSidedPst::Build(std::vector<Point> points) {
                       return GreaterByY(a.ToPoint(), b.ToPoint());
                     });
           auto s_info = BuildBlockList<SrcPoint>(
-              dev_, std::span<const SrcPoint>(s_recs), offsetof(SrcPoint, y));
+              dev_, std::span<const SrcPoint>(s_recs));
           if (!s_info.ok()) return s_info.status();
           cache.s_pages = s_info.value().pages;
           cache.s_count = s_recs.size();
@@ -393,30 +391,6 @@ Status ThreeSidedPst::ProcessCache(const ThreeSidedQuery& q,
       }
       Classify(stats, qual, src_cap);
     };
-    // v3 packed pages: stop probe over the dense ascending-x key array,
-    // qualifying records reassembled field-wise.  Same records, same stop,
-    // same accounting as scan_a_block.
-    auto scan_a_packed = [&](const PackedPageView<SrcPoint>& v) {
-      Bump(stats, &QueryStats::cache);
-      uint64_t qual = 0;
-      const size_t limit =
-          kernels::FindFirstAbove(v.keys, sizeof(int64_t), v.count, q.x_max);
-      if (limit < v.count) stop = true;
-      for (size_t i = 0; i < limit; ++i) {
-        if (v.keys[i] < q.x_min) continue;
-        if (right_side &&
-            seg_start + v.U32Field(i, offsetof(SrcPoint, src)) <= fork) {
-          continue;
-        }
-        const int64_t y = v.I64Field(i, offsetof(SrcPoint, y));
-        if (y >= q.y_min) {
-          out->push_back(
-              Point{v.keys[i], y, v.U64Field(i, offsetof(SrcPoint, id))});
-          ++qual;
-        }
-      }
-      Classify(stats, qual, src_cap);
-    };
     if (opts_.enable_readahead && !max_x.empty() && ah.pages > 0) {
       // Ascending x stops in the first block whose maximum exceeds x_max,
       // so the page-at-a-time scan reads exactly blocks [start..end].
@@ -432,17 +406,9 @@ Status ThreeSidedPst::ProcessCache(const ThreeSidedQuery& q,
           std::span<const PageId>(pages.data() + start, end - start + 1));
       std::vector<SrcPoint> recs;
       while (!cur.done()) {
-        const std::byte* page = nullptr;
-        BlockPageHeader bh;
-        PC_RETURN_IF_ERROR(cur.NextBlockRaw(&page, &bh));
-        if (codec::IsPacked(bh.count) &&
-            codec::KeyOffset(bh.count) == offsetof(SrcPoint, x)) {
-          scan_a_packed(PackedPageView<SrcPoint>::From(page, bh));
-        } else {
-          recs.clear();
-          AppendBlockRecords(page, bh, &recs);
-          scan_a_block(recs);
-        }
+        recs.clear();
+        PC_RETURN_IF_ERROR(cur.NextBlock(&recs));
+        scan_a_block(recs);
       }
     } else {
       // Records scanned in place via a pinned frame: one counted read per
@@ -450,11 +416,7 @@ Status ThreeSidedPst::ProcessCache(const ThreeSidedQuery& q,
       BlockPageView<SrcPoint> view;
       for (uint32_t bi = start; bi < ah.pages && !stop; ++bi) {
         PC_RETURN_IF_ERROR(view.Load(dev_, pages[bi]));
-        if (view.is_packed() && view.key_offset() == offsetof(SrcPoint, x)) {
-          scan_a_packed(view.packed());
-        } else {
-          scan_a_block(view.records());
-        }
+        scan_a_block(view.records());
       }
     }
   }
@@ -519,29 +481,6 @@ Status ThreeSidedPst::ProcessCache(const ThreeSidedQuery& q,
       }
       Classify(stats, qual, src_cap);
     };
-    auto scan_s_packed = [&](const PackedPageView<SrcPoint>& v) {
-      Bump(stats, &QueryStats::cache);
-      uint64_t qual = 0;
-      const size_t limit =
-          kernels::FindFirstBelow(v.keys, sizeof(int64_t), v.count, q.y_min);
-      if (limit < v.count) stop = true;
-      for (size_t i = 0; i < limit; ++i) {
-        const uint32_t src = v.U32Field(i, offsetof(SrcPoint, src));
-        if (src >= sib_qual.size()) {
-          bad_src = true;
-          stop = true;
-          break;
-        }
-        ++sib_qual[src];
-        const Point p{v.I64Field(i, offsetof(SrcPoint, x)), v.keys[i],
-                      v.U64Field(i, offsetof(SrcPoint, id))};
-        if (q.Contains(p)) {
-          out->push_back(p);
-          ++qual;
-        }
-      }
-      Classify(stats, qual, src_cap);
-    };
     if (opts_.enable_readahead &&
         cache.s_tails.size() == cache.s_pages.size()) {
       // Descending y stops in the first page whose tail (minimum y) falls
@@ -554,28 +493,16 @@ Status ThreeSidedPst::ProcessCache(const ThreeSidedQuery& q,
           dev_, std::span<const PageId>(cache.s_pages.data(), prefix));
       std::vector<SrcPoint> recs;
       while (!cur.done()) {
-        const std::byte* page = nullptr;
-        BlockPageHeader bh;
-        PC_RETURN_IF_ERROR(cur.NextBlockRaw(&page, &bh));
-        if (codec::IsPacked(bh.count) &&
-            codec::KeyOffset(bh.count) == offsetof(SrcPoint, y)) {
-          scan_s_packed(PackedPageView<SrcPoint>::From(page, bh));
-        } else {
-          recs.clear();
-          AppendBlockRecords(page, bh, &recs);
-          scan_s_block(recs);
-        }
+        recs.clear();
+        PC_RETURN_IF_ERROR(cur.NextBlock(&recs));
+        scan_s_block(recs);
       }
     } else {
       BlockPageView<SrcPoint> view;
       for (PageId p : cache.s_pages) {
         if (stop) break;
         PC_RETURN_IF_ERROR(view.Load(dev_, p));
-        if (view.is_packed() && view.key_offset() == offsetof(SrcPoint, y)) {
-          scan_s_packed(view.packed());
-        } else {
-          scan_s_block(view.records());
-        }
+        scan_s_block(view.records());
       }
     }
     if (bad_src) {
@@ -622,30 +549,14 @@ Status ThreeSidedPst::DescendDescendants(
       cur.EnableChainReadahead();
       std::vector<Point> pts;
       while (!cur.done()) {
-        const std::byte* page = nullptr;
-        BlockPageHeader bh;
-        PC_RETURN_IF_ERROR(cur.NextBlockRaw(&page, &bh));
+        pts.clear();
+        PC_RETURN_IF_ERROR(cur.NextBlock(&pts));
         Bump(stats, &QueryStats::descendant);
         uint64_t qual = 0;
-        if (codec::IsPacked(bh.count) &&
-            codec::KeyOffset(bh.count) == offsetof(Point, y)) {
-          const PackedPageView<Point> v = PackedPageView<Point>::From(page, bh);
-          for (size_t i = 0; i < v.count; ++i) {
-            const Point p{v.I64Field(i, offsetof(Point, x)), v.keys[i],
-                          v.U64Field(i, offsetof(Point, id))};
-            if (q.Contains(p)) {
-              out->push_back(p);
-              ++qual;
-            }
-          }
-        } else {
-          pts.clear();
-          AppendBlockRecords(page, bh, &pts);
-          for (const Point& p : pts) {
-            if (q.Contains(p)) {
-              out->push_back(p);
-              ++qual;
-            }
+        for (const Point& p : pts) {
+          if (q.Contains(p)) {
+            out->push_back(p);
+            ++qual;
           }
         }
         Classify(stats, qual, pt_cap);
@@ -660,31 +571,16 @@ Status ThreeSidedPst::DescendDescendants(
         PC_RETURN_IF_ERROR(view.Load(dev_, page));
         Bump(stats, &QueryStats::descendant);
         uint64_t qual = 0;
-        if (view.is_packed() && view.key_offset() == offsetof(Point, y)) {
-          const PackedPageView<Point> v = view.packed();
-          const size_t lim = kernels::FindFirstBelow(v.keys, sizeof(int64_t),
-                                                     v.count, q.y_min);
-          if (lim < v.count) all = false;
-          for (size_t i = 0; i < lim; ++i) {
-            const Point p{v.I64Field(i, offsetof(Point, x)), v.keys[i],
-                          v.U64Field(i, offsetof(Point, id))};
-            if (q.Contains(p)) {
-              out->push_back(p);
-              ++qual;
-            }
-          }
-        } else {
-          const auto recs = view.records();
-          const size_t lim =
-              recs.empty() ? 0
-                           : kernels::FindFirstBelow(&recs[0].y, sizeof(Point),
-                                                     recs.size(), q.y_min);
-          if (lim < recs.size()) all = false;
-          for (const Point& p : recs.first(lim)) {
-            if (q.Contains(p)) {
-              out->push_back(p);
-              ++qual;
-            }
+        const auto recs = view.records();
+        const size_t lim =
+            recs.empty() ? 0
+                         : kernels::FindFirstBelow(&recs[0].y, sizeof(Point),
+                                                   recs.size(), q.y_min);
+        if (lim < recs.size()) all = false;
+        for (const Point& p : recs.first(lim)) {
+          if (q.Contains(p)) {
+            out->push_back(p);
+            ++qual;
           }
         }
         Classify(stats, qual, pt_cap);

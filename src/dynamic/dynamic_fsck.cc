@@ -88,11 +88,10 @@ Status ClaimItemsChain(PageDevice* dev, PageId head, uint64_t expect_count,
     PC_RETURN_IF_ERROR(dev->Read(id, buf.data()));
     BlockPageHeader hdr;
     std::memcpy(&hdr, buf.data(), sizeof(hdr));
-    PC_RETURN_IF_ERROR(CheckBlockPageHeader(hdr, cap, sizeof(DynamicItem),
-                                            dev->page_size()));
+    PC_RETURN_IF_ERROR(CheckBlockPageHeader(hdr, cap));
     PC_RETURN_IF_ERROR(c->Claim(id));
     ++*items_pages;
-    records += codec::Count(hdr.count);
+    records += hdr.count;
     id = hdr.next;
   }
   if (records != expect_count) {

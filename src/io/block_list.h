@@ -6,14 +6,11 @@
 // records) and only the final partial block can be "wasteful".  Cover-lists,
 // X/Y-lists and the A/S caches are all BlockLists.
 //
-// On-page layout (v2):  [BlockPageHeader][record 0][record 1]...[record k-1]
-// Builders may instead write the page-format v3 packed layout — the 8-byte
-// search key of every record deinterleaved into one dense array ahead of the
-// key-less payloads (see io/page_codec.h for the byte layout and the count
-// word's flag bits).  Both formats hold the same record count per page, and
-// every reader here decodes either transparently.  Pages are chained via
-// `next`; builders also return the page-id vector so callers that need
-// random block access can keep a directory.
+// On-page layout:  [BlockPageHeader][record 0][record 1]...[record k-1]
+// Records are stored interleaved, exactly as they sit in memory, so a loaded
+// page is read in place.  Pages are chained via `next`; builders also return
+// the page-id vector so callers that need random block access can keep a
+// directory.
 
 #ifndef PATHCACHE_IO_BLOCK_LIST_H_
 #define PATHCACHE_IO_BLOCK_LIST_H_
@@ -24,21 +21,18 @@
 #include <type_traits>
 #include <vector>
 
-#include "io/page_codec.h"
 #include "io/page_device.h"
 #include "util/mathutil.h"
 
 namespace pathcache {
 
 struct BlockPageHeader {
-  uint32_t count = 0;   // count word: record count plus the v3 codec flag
-                        // bits (io/page_codec.h); codec::Count() masks them
+  uint32_t count = 0;   // records on this page
   uint32_t contig = 0;  // id-contiguous successors: the next `contig` pages
                         // of the chain are this page's id + 1, + 2, ...
   PageId next = kInvalidPageId;
 };
 static_assert(sizeof(BlockPageHeader) == 16);
-static_assert(sizeof(BlockPageHeader) == codec::kPackedBaseLo);
 
 /// Default prefetch window (pages per batch) for readahead cursors.
 constexpr uint32_t kDefaultReadahead = 8;
@@ -59,43 +53,18 @@ constexpr uint32_t RecordsPerPage(uint32_t page_size) {
 }
 
 /// Validates a block page header read from untrusted storage: the record
-/// count must fit the page, and a v3 packed page's flag bits must be
-/// self-consistent — `rec_size`/`page_size`, when nonzero, additionally
-/// bound the key offset and the aligned-flag pad against the actual page.
+/// count must fit the page.  A count word with stray high bits (such as the
+/// flag bit 31 of the dropped packed page format) fails the same check.
 /// (A `next` pointer cannot be validated locally — chain walkers bound
 /// their step count by the device's live pages instead, so a corrupt
 /// pointer that forms a cycle degrades to Corruption rather than an
 /// infinite loop.)
 inline Status CheckBlockPageHeader(const BlockPageHeader& hdr,
-                                   uint32_t records_per_page,
-                                   uint32_t rec_size = 0,
-                                   uint32_t page_size = 0) {
-  const uint32_t count = codec::Count(hdr.count);
-  if (count > records_per_page) {
+                                   uint32_t records_per_page) {
+  if (hdr.count > records_per_page) {
     return Status::Corruption(
-        "block page record count " + std::to_string(count) +
+        "block page record count " + std::to_string(hdr.count) +
         " exceeds page capacity " + std::to_string(records_per_page));
-  }
-  if (codec::IsPacked(hdr.count)) {
-    if (rec_size != 0 && codec::KeyOffset(hdr.count) + 8 > rec_size) {
-      return Status::Corruption(
-          "packed block page key offset " +
-          std::to_string(codec::KeyOffset(hdr.count)) +
-          " exceeds record size " + std::to_string(rec_size));
-    }
-    // The aligned form spends 48 pad bytes; the arrays starting at byte 64
-    // must still fit the page (the builder's exact condition), else a
-    // corrupt aligned flag would let readers run off the frame.
-    if (rec_size != 0 && page_size != 0 &&
-        codec::PackedBase(hdr.count) == codec::kPackedBaseHi &&
-        codec::kPackedBaseHi + static_cast<uint64_t>(count) * rec_size >
-            page_size) {
-      return Status::Corruption(
-          "packed block page aligned flag set but " + std::to_string(count) +
-          " records leave no room for the alignment pad");
-    }
-  } else if (hdr.count > records_per_page) {
-    return Status::Corruption("block page count word has unknown flag bits");
   }
   return Status::OK();
 }
@@ -122,19 +91,13 @@ struct BlockListInfo {
 };
 
 /// Writes `records` as a chained BlockList.  One device write per page.
-/// `key_off`, when >= 0, names the byte offset of the record's 8-byte search
-/// key; pages are then written in the v3 packed layout (keys deinterleaved,
-/// io/page_codec.h) unless the codec is disabled.  Packing never changes
-/// page count, chain shape or counted I/O — only the in-page byte order.
 template <typename T>
 Result<BlockListInfo> BuildBlockList(PageDevice* dev,
-                                     std::span<const T> records,
-                                     int key_off = -1) {
+                                     std::span<const T> records) {
   BlockListInfo info;
   info.ref.count = records.size();
   if (records.empty()) return info;
 
-  const bool pack = key_off >= 0 && codec::PackedPagesEnabled();
   const uint32_t per_page = RecordsPerPage<T>(dev->page_size());
   const uint64_t num_pages = CeilDiv(records.size(), per_page);
   info.pages.reserve(num_pages);
@@ -159,100 +122,29 @@ Result<BlockListInfo> BuildBlockList(PageDevice* dev,
     const uint32_t here = static_cast<uint32_t>(
         std::min<uint64_t>(per_page, records.size() - off));
     BlockPageHeader hdr;
+    hdr.count = here;
     hdr.contig = contig[i];
     hdr.next = (i + 1 < num_pages) ? info.pages[i + 1] : kInvalidPageId;
     std::memset(buf.data(), 0, buf.size());
-    if (pack) {
-      const bool aligned = codec::kPackedBaseHi +
-                               static_cast<uint64_t>(here) * sizeof(T) <=
-                           dev->page_size();
-      hdr.count = codec::MakePackedCountWord(
-          here, static_cast<uint32_t>(key_off), aligned);
-      codec::EncodePackedRecords(buf.data() + codec::PackedBase(hdr.count),
-                                 records.data() + off, here, sizeof(T),
-                                 static_cast<uint32_t>(key_off));
-    } else {
-      hdr.count = here;
-      std::memcpy(buf.data() + sizeof(hdr), records.data() + off,
-                  here * sizeof(T));
-    }
     std::memcpy(buf.data(), &hdr, sizeof(hdr));
+    std::memcpy(buf.data() + sizeof(hdr), records.data() + off,
+                here * sizeof(T));
     PC_RETURN_IF_ERROR(dev->Write(info.pages[i], buf.data()));
     off += here;
   }
   return info;
 }
 
-/// Appends the records of one already-validated block page to `out`,
-/// decoding either page format.  The fixed decode point every reader
-/// funnels through: v2 pages are one memcpy, v3 packed pages reconstruct
-/// the interleaved records from the key and payload arrays.
+/// Appends the records of one already-validated block page to `out`.
 template <typename T>
 void AppendBlockRecords(const std::byte* page, const BlockPageHeader& hdr,
                         std::vector<T>* out) {
-  const uint32_t count = codec::Count(hdr.count);
   const size_t old = out->size();
-  out->resize(old + count);
-  if (count == 0) return;  // empty vector data() is null; memcpy forbids it
-  if (codec::IsPacked(hdr.count)) {
-    codec::DecodePackedRecords(page + codec::PackedBase(hdr.count),
-                               out->data() + old, count, sizeof(T),
-                               codec::KeyOffset(hdr.count));
-  } else {
-    std::memcpy(out->data() + old, page + sizeof(BlockPageHeader),
-                count * sizeof(T));
-  }
+  out->resize(old + hdr.count);
+  if (hdr.count == 0) return;  // empty vector data() is null; memcpy forbids it
+  std::memcpy(out->data() + old, page + sizeof(BlockPageHeader),
+              hdr.count * sizeof(T));
 }
-
-/// Zero-copy accessor over one v3 packed page: the dense key array plus
-/// record-order payloads.  Field offsets are given in LOGICAL record
-/// coordinates (offsetof(T, field)) and translated past the extracted key,
-/// so scan code reads fields by the same offsets in either format.
-template <typename T>
-struct PackedPageView {
-  const int64_t* keys = nullptr;
-  const std::byte* pays = nullptr;
-  uint32_t key_off = 0;
-  uint32_t count = 0;
-  static constexpr uint32_t kPayStride = sizeof(T) - 8;
-
-  /// Precondition: codec::IsPacked(hdr.count); header already validated.
-  static PackedPageView From(const std::byte* page,
-                             const BlockPageHeader& hdr) {
-    PackedPageView v;
-    v.count = codec::Count(hdr.count);
-    v.key_off = codec::KeyOffset(hdr.count);
-    const uint32_t base = codec::PackedBase(hdr.count);
-    v.keys = reinterpret_cast<const int64_t*>(page + base);
-    v.pays = page + base + static_cast<size_t>(v.count) * 8;
-    return v;
-  }
-
-  int64_t I64Field(size_t i, uint32_t field_off) const {
-    int64_t v;
-    std::memcpy(&v,
-                pays + i * kPayStride +
-                    codec::PayloadFieldOffset(key_off, field_off),
-                8);
-    return v;
-  }
-  uint64_t U64Field(size_t i, uint32_t field_off) const {
-    uint64_t v;
-    std::memcpy(&v,
-                pays + i * kPayStride +
-                    codec::PayloadFieldOffset(key_off, field_off),
-                8);
-    return v;
-  }
-  uint32_t U32Field(size_t i, uint32_t field_off) const {
-    uint32_t v;
-    std::memcpy(&v,
-                pays + i * kPayStride +
-                    codec::PayloadFieldOffset(key_off, field_off),
-                4);
-    return v;
-  }
-};
 
 /// Collects the page ids of a chain starting at `head` by following the
 /// `next` pointers.  One read per page; used by layout passes that need a
@@ -293,8 +185,7 @@ Status ReadBlockChain(PageDevice* dev, PageId head, std::vector<T>* out,
     PC_RETURN_IF_ERROR(dev->Read(id, buf.data()));
     BlockPageHeader hdr;
     std::memcpy(&hdr, buf.data(), sizeof(hdr));
-    PC_RETURN_IF_ERROR(
-        CheckBlockPageHeader(hdr, cap, sizeof(T), dev->page_size()));
+    PC_RETURN_IF_ERROR(CheckBlockPageHeader(hdr, cap));
     AppendBlockRecords(buf.data(), hdr, out);
     if (walked == 1 && second_page != nullptr) *second_page = hdr.next;
     id = hdr.next;
@@ -335,59 +226,25 @@ class BlockPageView {
   Status Load(PageDevice* dev, PageId id) {
     PC_RETURN_IF_ERROR(pin_.Load(dev, id));
     std::memcpy(&hdr_, pin_.data(), sizeof(hdr_));
-    decoded_ = false;
-    return CheckBlockPageHeader(hdr_, RecordsPerPage<T>(dev->page_size()),
-                                sizeof(T), dev->page_size());
+    return CheckBlockPageHeader(hdr_, RecordsPerPage<T>(dev->page_size()));
   }
 
   const BlockPageHeader& header() const { return hdr_; }
   PageId next() const { return hdr_.next; }
-  uint32_t count() const { return codec::Count(hdr_.count); }
-  bool is_packed() const { return codec::IsPacked(hdr_.count); }
+  uint32_t count() const { return hdr_.count; }
 
-  /// Packed fast-path accessors (valid only when is_packed()): the dense
-  /// key array, the record-order payload array and its stride, and the
-  /// key's byte offset within the logical record.  Scans that only need
-  /// the keys plus a field or two stay zero-copy on packed pages.
-  const int64_t* keys() const {
-    return reinterpret_cast<const int64_t*>(pin_.data() +
-                                            codec::PackedBase(hdr_.count));
-  }
-  const std::byte* payloads() const {
-    return pin_.data() + codec::PackedBase(hdr_.count) +
-           static_cast<size_t>(count()) * 8;
-  }
-  static constexpr uint32_t payload_stride() { return sizeof(T) - 8; }
-  uint32_t key_offset() const { return codec::KeyOffset(hdr_.count); }
-  PackedPageView<T> packed() const {
-    return PackedPageView<T>::From(pin_.data(), hdr_);
-  }
-
-  /// The page's records.  For v2 pages this is the zero-copy in-place view;
-  /// a v3 packed page is decoded (once per Load) into an internal scratch
-  /// buffer.  Valid until the next Load() or until the view is destroyed.
-  /// (Records are written with memcpy and the frame is new[]-aligned, so
-  /// reading them through a T* is well-formed for the trivially copyable
-  /// record types block lists hold.)
+  /// The page's records, in place.  Valid until the next Load() or until
+  /// the view is destroyed.  (Records are written with memcpy and the frame
+  /// is new[]-aligned, so reading them through a T* is well-formed for the
+  /// trivially copyable record types block lists hold.)
   std::span<const T> records() const {
-    if (!is_packed()) {
-      return {
-          reinterpret_cast<const T*>(pin_.data() + sizeof(BlockPageHeader)),
-          count()};
-    }
-    if (!decoded_) {
-      scratch_.clear();
-      AppendBlockRecords(pin_.data(), hdr_, &scratch_);
-      decoded_ = true;
-    }
-    return {scratch_.data(), scratch_.size()};
+    return {reinterpret_cast<const T*>(pin_.data() + sizeof(BlockPageHeader)),
+            count()};
   }
 
  private:
   PagePin pin_;
   BlockPageHeader hdr_;
-  mutable std::vector<T> scratch_;
-  mutable bool decoded_ = false;
 };
 
 /// Forward scanner over a BlockList.  Every page is read exactly once and
@@ -447,12 +304,9 @@ class BlockListCursor {
            next_ == kInvalidPageId;
   }
 
-  /// Advances to the next page and exposes its raw bytes (header already
-  /// validated into `*hdr`).  The pointer stays valid until the next
-  /// NextBlockRaw/NextBlock call; use the io/page_codec.h accessors (or
-  /// AppendBlockRecords) to reach the records in either page format.
-  Status NextBlockRaw(const std::byte** page_out, BlockPageHeader* hdr_out) {
-    *page_out = nullptr;
+  /// Advances to the next page, validates its header and appends its
+  /// records to `out`; no-op once done().
+  Status NextBlock(std::vector<T>* out) {
     if (done()) return Status::OK();
     // In chain mode a corrupt `next` pointer can form a cycle; no walk can
     // legitimately visit more pages than the device holds.
@@ -495,20 +349,9 @@ class BlockListCursor {
     ++blocks_read_;
     BlockPageHeader hdr;
     std::memcpy(&hdr, page, sizeof(hdr));
-    PC_RETURN_IF_ERROR(
-        CheckBlockPageHeader(hdr, RecordsPerPage<T>(psz), sizeof(T), psz));
+    PC_RETURN_IF_ERROR(CheckBlockPageHeader(hdr, RecordsPerPage<T>(psz)));
     next_ = hdr.next;
-    *page_out = page;
-    *hdr_out = hdr;
-    return Status::OK();
-  }
-
-  /// Appends the next page's records to `out`; no-op once done().
-  Status NextBlock(std::vector<T>* out) {
-    const std::byte* page = nullptr;
-    BlockPageHeader hdr;
-    PC_RETURN_IF_ERROR(NextBlockRaw(&page, &hdr));
-    if (page != nullptr) AppendBlockRecords(page, hdr, out);
+    AppendBlockRecords(page, hdr, out);
     return Status::OK();
   }
 

@@ -356,107 +356,6 @@ size_t FindFirstAboveNeon(const void* base, size_t stride, size_t n,
 
 #endif  // __aarch64__
 
-// ---- packed-KV bounds (page-format v3 deinterleaved nodes) ----
-//
-// With the 8-byte keys dense and the values parallel, a lexicographic
-// (key, value) bound decomposes into dense probes: the tier's I64 lower
-// bound locates the first candidate; only when it actually landed on an
-// equal key (rare — bounds probe between keys far more often than at them)
-// is the run's extent found with a second probe confined to the tail, and
-// a branchless scalar bound over vals settles the tie.  The common case is
-// thus ONE dense key probe, which is where the vector win lives; each tier
-// still runs its own key code (unlike the interleaved KV bounds, where
-// SSE2/NEON fall back to scalar wholesale).
-
-namespace {
-
-// Branchless (cmov-shaped) lower/upper bound over an ascending uint64
-// array — the value tie-break run, usually 0 or 1 elements long.
-size_t LowerBoundU64Branchless(const uint64_t* a, size_t n, uint64_t v) {
-  size_t lo = 0, len = n;
-  while (len > 0) {
-    const size_t half = len / 2;
-    const bool less = a[lo + half] < v;
-    lo = less ? lo + half + 1 : lo;
-    len = less ? len - half - 1 : half;
-  }
-  return lo;
-}
-
-size_t UpperBoundU64Branchless(const uint64_t* a, size_t n, uint64_t v) {
-  size_t lo = 0, len = n;
-  while (len > 0) {
-    const size_t half = len / 2;
-    const bool le = a[lo + half] <= v;
-    lo = le ? lo + half + 1 : lo;
-    len = le ? len - half - 1 : half;
-  }
-  return lo;
-}
-
-template <size_t (*KeyLb)(const int64_t*, size_t, int64_t),
-          size_t (*KeyUb)(const int64_t*, size_t, int64_t)>
-size_t LowerBoundKVPackedImpl(const int64_t* keys, const uint64_t* vals,
-                              size_t n, int64_t key, uint64_t value) {
-  const size_t lo = KeyLb(keys, n, key);
-  if (lo == n || keys[lo] != key) return lo;  // empty equal-key run
-  const size_t run = KeyUb(keys + lo, n - lo, key);
-  return lo + LowerBoundU64Branchless(vals + lo, run, value);
-}
-
-template <size_t (*KeyLb)(const int64_t*, size_t, int64_t),
-          size_t (*KeyUb)(const int64_t*, size_t, int64_t)>
-size_t UpperBoundKVPackedImpl(const int64_t* keys, const uint64_t* vals,
-                              size_t n, int64_t key, uint64_t value) {
-  const size_t lo = KeyLb(keys, n, key);
-  if (lo == n || keys[lo] != key) return lo;  // empty equal-key run
-  const size_t run = KeyUb(keys + lo, n - lo, key);
-  return lo + UpperBoundU64Branchless(vals + lo, run, value);
-}
-
-}  // namespace
-
-size_t LowerBoundKVPackedScalar(const int64_t* keys, const uint64_t* vals,
-                                size_t n, int64_t key, uint64_t value) {
-  return LowerBoundKVPackedImpl<LowerBoundI64Scalar, UpperBoundI64Scalar>(
-      keys, vals, n, key, value);
-}
-size_t UpperBoundKVPackedScalar(const int64_t* keys, const uint64_t* vals,
-                                size_t n, int64_t key, uint64_t value) {
-  return UpperBoundKVPackedImpl<LowerBoundI64Scalar, UpperBoundI64Scalar>(
-      keys, vals, n, key, value);
-}
-size_t LowerBoundKVPackedSse2(const int64_t* keys, const uint64_t* vals,
-                              size_t n, int64_t key, uint64_t value) {
-  return LowerBoundKVPackedImpl<LowerBoundI64Sse2, UpperBoundI64Sse2>(
-      keys, vals, n, key, value);
-}
-size_t UpperBoundKVPackedSse2(const int64_t* keys, const uint64_t* vals,
-                              size_t n, int64_t key, uint64_t value) {
-  return UpperBoundKVPackedImpl<LowerBoundI64Sse2, UpperBoundI64Sse2>(
-      keys, vals, n, key, value);
-}
-size_t LowerBoundKVPackedNeon(const int64_t* keys, const uint64_t* vals,
-                              size_t n, int64_t key, uint64_t value) {
-  return LowerBoundKVPackedImpl<LowerBoundI64Neon, UpperBoundI64Neon>(
-      keys, vals, n, key, value);
-}
-size_t UpperBoundKVPackedNeon(const int64_t* keys, const uint64_t* vals,
-                              size_t n, int64_t key, uint64_t value) {
-  return UpperBoundKVPackedImpl<LowerBoundI64Neon, UpperBoundI64Neon>(
-      keys, vals, n, key, value);
-}
-size_t LowerBoundKVPackedAvx2(const int64_t* keys, const uint64_t* vals,
-                              size_t n, int64_t key, uint64_t value) {
-  return LowerBoundKVPackedImpl<LowerBoundI64Avx2, UpperBoundI64Avx2>(
-      keys, vals, n, key, value);
-}
-size_t UpperBoundKVPackedAvx2(const int64_t* keys, const uint64_t* vals,
-                              size_t n, int64_t key, uint64_t value) {
-  return UpperBoundKVPackedImpl<LowerBoundI64Avx2, UpperBoundI64Avx2>(
-      keys, vals, n, key, value);
-}
-
 }  // namespace internal
 
 // -------------------------------------------------------------- dispatch --
@@ -513,42 +412,6 @@ Tier KvBoundsImplTier(Tier t) {
   // Mirrors the LowerBoundKV/UpperBoundKV dispatch above: only AVX2 has a
   // native 64-bit compare worth using on interleaved records.
   return t == Tier::kAvx2 ? Tier::kAvx2 : Tier::kScalar;
-}
-
-Tier KvPackedBoundsImplTier(Tier t) {
-  // Deinterleaved keys turn the KV bound into dense I64 probes, which every
-  // vector tier implements natively.
-  return t;
-}
-
-size_t LowerBoundKVPacked(const int64_t* keys, const uint64_t* vals, size_t n,
-                          int64_t key, uint64_t value) {
-  switch (ActiveTier()) {
-    case Tier::kAvx2:
-      return internal::LowerBoundKVPackedAvx2(keys, vals, n, key, value);
-    case Tier::kSse2:
-      return internal::LowerBoundKVPackedSse2(keys, vals, n, key, value);
-    case Tier::kNeon:
-      return internal::LowerBoundKVPackedNeon(keys, vals, n, key, value);
-    case Tier::kScalar:
-      break;
-  }
-  return internal::LowerBoundKVPackedScalar(keys, vals, n, key, value);
-}
-
-size_t UpperBoundKVPacked(const int64_t* keys, const uint64_t* vals, size_t n,
-                          int64_t key, uint64_t value) {
-  switch (ActiveTier()) {
-    case Tier::kAvx2:
-      return internal::UpperBoundKVPackedAvx2(keys, vals, n, key, value);
-    case Tier::kSse2:
-      return internal::UpperBoundKVPackedSse2(keys, vals, n, key, value);
-    case Tier::kNeon:
-      return internal::UpperBoundKVPackedNeon(keys, vals, n, key, value);
-    case Tier::kScalar:
-      break;
-  }
-  return internal::UpperBoundKVPackedScalar(keys, vals, n, key, value);
 }
 
 size_t UpperBoundKVStrided(const void* recs, size_t stride, size_t n,

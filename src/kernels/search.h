@@ -50,19 +50,6 @@ size_t UpperBoundI64(const int64_t* a, size_t n, int64_t key);
 size_t LowerBoundKV(const void* recs, size_t n, int64_t key, uint64_t value);
 size_t UpperBoundKV(const void* recs, size_t n, int64_t key, uint64_t value);
 
-/// Lexicographic bounds over DEINTERLEAVED records: `keys[0..n)` and
-/// `vals[0..n)` are parallel arrays sorted ascending by (key, value) — the
-/// shape of a page-format v3 packed node (io/page_codec.h), where the keys
-/// sit eight to a cache line instead of one per record.  Every tier
-/// composes its dense I64 key bounds (the fast part — the probe that used
-/// to stride across records) with a branchless value tie-break confined to
-/// the equal-key run, so unlike the interleaved KV bounds the SSE2/NEON
-/// tiers genuinely vectorize here.
-size_t LowerBoundKVPacked(const int64_t* keys, const uint64_t* vals, size_t n,
-                          int64_t key, uint64_t value);
-size_t UpperBoundKVPacked(const int64_t* keys, const uint64_t* vals, size_t n,
-                          int64_t key, uint64_t value);
-
 /// Dispatch introspection: the tier whose code the interleaved KV bounds
 /// (LowerBoundKV/UpperBoundKV) actually run when `t` is active.  kSse2 and
 /// kNeon deliberately route to kScalar — the lexicographic predicate
@@ -70,10 +57,6 @@ size_t UpperBoundKVPacked(const int64_t* keys, const uint64_t* vals, size_t n,
 /// scalar at every size — and tests pin that table so a regression
 /// re-enabling a slow path fails loudly instead of silently.
 Tier KvBoundsImplTier(Tier t);
-
-/// Same question for the packed-key KV bounds: every tier runs its own
-/// code (the key probes reuse the tier's dense I64 kernels).
-Tier KvPackedBoundsImplTier(Tier t);
 
 /// Branchless lexicographic upper bound over records of `stride` bytes
 /// whose first 16 bytes are {int64_t key, uint64_t value} (e.g. the B+-tree

@@ -31,10 +31,6 @@ size_t FindFirstBelowScalar(const void* base, size_t stride, size_t n,
 size_t FindFirstAboveScalar(const void* base, size_t stride, size_t n,
                             int64_t bound);
 bool AllContain24Scalar(const void* recs, size_t n, int64_t q);
-size_t LowerBoundKVPackedScalar(const int64_t* keys, const uint64_t* vals,
-                                size_t n, int64_t key, uint64_t value);
-size_t UpperBoundKVPackedScalar(const int64_t* keys, const uint64_t* vals,
-                                size_t n, int64_t key, uint64_t value);
 
 // ---- SSE2 (x86 only; stubs forward to scalar elsewhere).  No KV entry
 // points: the lexicographic predicate synthesized from 32-bit compares
@@ -46,10 +42,6 @@ size_t FindFirstBelowSse2(const void* base, size_t stride, size_t n,
                           int64_t bound);
 size_t FindFirstAboveSse2(const void* base, size_t stride, size_t n,
                           int64_t bound);
-size_t LowerBoundKVPackedSse2(const int64_t* keys, const uint64_t* vals,
-                              size_t n, int64_t key, uint64_t value);
-size_t UpperBoundKVPackedSse2(const int64_t* keys, const uint64_t* vals,
-                              size_t n, int64_t key, uint64_t value);
 
 // ---- NEON (aarch64 only; stubs forward to scalar elsewhere) ----
 size_t LowerBoundI64Neon(const int64_t* a, size_t n, int64_t key);
@@ -58,10 +50,6 @@ size_t FindFirstBelowNeon(const void* base, size_t stride, size_t n,
                           int64_t bound);
 size_t FindFirstAboveNeon(const void* base, size_t stride, size_t n,
                           int64_t bound);
-size_t LowerBoundKVPackedNeon(const int64_t* keys, const uint64_t* vals,
-                              size_t n, int64_t key, uint64_t value);
-size_t UpperBoundKVPackedNeon(const int64_t* keys, const uint64_t* vals,
-                              size_t n, int64_t key, uint64_t value);
 
 // ---- AVX2 (search_avx2.cc; stubs forward to scalar when not compiled) ----
 size_t LowerBoundI64Avx2(const int64_t* a, size_t n, int64_t key);
@@ -75,10 +63,6 @@ size_t FindFirstBelowAvx2(const void* base, size_t stride, size_t n,
 size_t FindFirstAboveAvx2(const void* base, size_t stride, size_t n,
                           int64_t bound);
 bool AllContain24Avx2(const void* recs, size_t n, int64_t q);
-size_t LowerBoundKVPackedAvx2(const int64_t* keys, const uint64_t* vals,
-                              size_t n, int64_t key, uint64_t value);
-size_t UpperBoundKVPackedAvx2(const int64_t* keys, const uint64_t* vals,
-                              size_t n, int64_t key, uint64_t value);
 
 // ---- hardware CRC32C (crc32c_hw.cc) ----
 unsigned int Crc32cUpdateHwImpl(unsigned int state, const void* data,

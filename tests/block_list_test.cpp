@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <cstring>
 
+#include "core/baselines.h"
 #include "io/mem_page_device.h"
 #include "util/geometry.h"
 
@@ -211,226 +212,55 @@ TEST(BlockListTest, SinglePartialPage) {
   EXPECT_EQ(out, pts);
 }
 
-// --- Page format v3 (packed key layout, io/page_codec.h) ------------------
-
-// RAII so a failing assertion cannot leak a codec override into later tests.
-struct ForcedCodec {
-  explicit ForcedCodec(int enabled) { codec::SetPackedPagesEnabled(enabled); }
-  ~ForcedCodec() { codec::SetPackedPagesEnabled(-1); }
-};
-
-TEST(PageCodecTest, CountWordRoundTrip) {
-  for (uint32_t count : {0u, 1u, 170u, codec::kCountMask}) {
-    for (uint32_t key_off : {0u, 8u, 16u, 1008u}) {
-      for (bool aligned : {false, true}) {
-        const uint32_t w = codec::MakePackedCountWord(count, key_off, aligned);
-        EXPECT_TRUE(codec::IsPacked(w));
-        EXPECT_EQ(codec::Count(w), count);
-        EXPECT_EQ(codec::KeyOffset(w), key_off);
-        EXPECT_EQ(codec::PackedBase(w), aligned ? codec::kPackedBaseHi
-                                                : codec::kPackedBaseLo);
-      }
-    }
-  }
-  // A v2 count word (== the count) never reads as packed.
-  EXPECT_FALSE(codec::IsPacked(170u));
-  EXPECT_EQ(codec::Count(170u), 170u);
-}
-
-TEST(PageCodecTest, EncodeDecodeRecordsRoundTrip) {
-  // Every key position a Point/Interval-shaped record can extract from.
-  auto pts = MakePoints(23);
-  for (uint32_t key_off : {0u, 8u, 16u}) {
-    std::vector<std::byte> img(23 * sizeof(Point));
-    codec::EncodePackedRecords(img.data(), pts.data(), pts.size(),
-                               sizeof(Point), key_off);
-    // The extracted keys are densely packed at the front.
-    for (size_t i = 0; i < pts.size(); ++i) {
-      int64_t k = 0;
-      std::memcpy(&k, img.data() + i * 8, 8);
-      int64_t want = 0;
-      std::memcpy(&want, reinterpret_cast<const char*>(&pts[i]) + key_off, 8);
-      ASSERT_EQ(k, want) << "key_off " << key_off << " rec " << i;
-    }
-    std::vector<Point> back(pts.size());
-    codec::DecodePackedRecords(img.data(), back.data(), pts.size(),
-                               sizeof(Point), key_off);
-    EXPECT_EQ(back, pts) << "key_off " << key_off;
-  }
-}
-
-TEST(PageCodecTest, CapacityIsInvariantAcrossFormats) {
-  // The codec's load-bearing invariant: a packed list occupies exactly the
-  // pages an interleaved list would, for every page size and length — so
-  // chain shapes and counted reads are bit-identical codec-on and codec-off.
-  for (uint32_t page_size : {256u, 512u, 4096u}) {
-    for (size_t n : {1u, 7u, 10u, 11u, 170u, 341u, 1000u}) {
-      auto pts = MakePoints(n);
-      MemPageDevice dev_v2(page_size);
-      MemPageDevice dev_v3(page_size);
-      BlockListInfo v2, v3;
-      {
-        ForcedCodec off(0);
-        v2 = BuildBlockList<Point>(&dev_v2, std::span<const Point>(pts),
-                                   offsetof(Point, x))
-                 .value();
-      }
-      {
-        ForcedCodec on(1);
-        v3 = BuildBlockList<Point>(&dev_v3, std::span<const Point>(pts),
-                                   offsetof(Point, x))
-                 .value();
-      }
-      ASSERT_EQ(v2.pages.size(), v3.pages.size())
-          << "page_size " << page_size << " n " << n;
-      ASSERT_EQ(v2.ref.count, v3.ref.count);
-      // Both decode to the same records through the format-agnostic reader.
-      std::vector<Point> out2, out3;
-      ASSERT_TRUE(ReadBlockList<Point>(&dev_v2, v2.ref, &out2).ok());
-      ASSERT_TRUE(ReadBlockList<Point>(&dev_v3, v3.ref, &out3).ok());
-      EXPECT_EQ(out2, pts);
-      EXPECT_EQ(out3, pts);
-    }
-  }
-}
-
-TEST(PageCodecTest, PackedViewExposesKeysAndPayloadFields) {
-  ForcedCodec on(1);
-  MemPageDevice dev(4096);
-  auto pts = MakePoints(50);
-  auto info = BuildBlockList<Point>(&dev, std::span<const Point>(pts),
-                                    offsetof(Point, y))
-                  .value();
-  std::vector<std::byte> buf(dev.page_size());
-  ASSERT_TRUE(dev.Read(info.pages[0], buf.data()).ok());
-  BlockPageHeader hdr;
-  std::memcpy(&hdr, buf.data(), sizeof(hdr));
-  ASSERT_TRUE(codec::IsPacked(hdr.count));
-  EXPECT_EQ(codec::KeyOffset(hdr.count), offsetof(Point, y));
-  // A 50-record page leaves 4096 - 16 - 50*24 = 2880 spare bytes, so the
-  // key array starts on the cache-line boundary.
-  EXPECT_EQ(codec::PackedBase(hdr.count), codec::kPackedBaseHi);
-
-  const auto v = PackedPageView<Point>::From(buf.data(), hdr);
-  ASSERT_EQ(v.count, pts.size());
-  for (size_t i = 0; i < v.count; ++i) {
-    EXPECT_EQ(v.keys[i], pts[i].y);
-    EXPECT_EQ(v.I64Field(i, offsetof(Point, x)), pts[i].x);
-    EXPECT_EQ(v.U64Field(i, offsetof(Point, id)), pts[i].id);
-  }
-}
-
-TEST(PageCodecTest, MixedFormatChainsCoexist) {
-  // One store, two lists, opposite formats — readers must not care, because
-  // every page self-describes via its count word.
-  MemPageDevice dev(512);
-  auto a = MakePoints(40);
-  std::vector<Point> b = MakePoints(35);
-  for (auto& p : b) p.id += 1000;
-  BlockListInfo ia, ib;
-  {
-    ForcedCodec off(0);
-    ia = BuildBlockList<Point>(&dev, std::span<const Point>(a),
-                               offsetof(Point, x))
-             .value();
-  }
-  {
-    ForcedCodec on(1);
-    ib = BuildBlockList<Point>(&dev, std::span<const Point>(b),
-                               offsetof(Point, x))
-             .value();
-  }
-  std::vector<Point> out_a, out_b;
-  ASSERT_TRUE(ReadBlockList<Point>(&dev, ia.ref, &out_a).ok());
-  ASSERT_TRUE(ReadBlockList<Point>(&dev, ib.ref, &out_b).ok());
-  EXPECT_EQ(out_a, a);
-  EXPECT_EQ(out_b, b);
-  // And the cursor's raw interface sees one packed and one interleaved page.
-  BlockPageHeader hdr;
-  std::vector<std::byte> buf(dev.page_size());
-  ASSERT_TRUE(dev.Read(ia.pages[0], buf.data()).ok());
-  std::memcpy(&hdr, buf.data(), sizeof(hdr));
-  EXPECT_FALSE(codec::IsPacked(hdr.count));
-  ASSERT_TRUE(dev.Read(ib.pages[0], buf.data()).ok());
-  std::memcpy(&hdr, buf.data(), sizeof(hdr));
-  EXPECT_TRUE(codec::IsPacked(hdr.count));
-}
-
-TEST(PageCodecTest, CorruptFlagBitsAreRejected) {
+// A count word is the page's record count and nothing else: any stray high
+// bit — including bit 31, which pages of the dropped packed format v3 carry
+// — pushes it past capacity and must read as Corruption.
+TEST(BlockListTest, CorruptCountWordIsRejected) {
   const uint32_t cap = RecordsPerPage<Point>(4096);  // 170
-
-  // v2 word with a stray non-count bit (not the packed flag): garbage.
   BlockPageHeader hdr{};
-  hdr.count = codec::kAlignedFlag | 5u;
-  EXPECT_EQ(CheckBlockPageHeader(hdr, cap, sizeof(Point), 4096).code(),
-            StatusCode::kCorruption);
-
-  // Packed key offset pointing past the record.
-  hdr.count = codec::MakePackedCountWord(5, /*key_off=*/32, false);
-  EXPECT_EQ(CheckBlockPageHeader(hdr, cap, sizeof(Point), 4096).code(),
-            StatusCode::kCorruption);
-
-  // Aligned flag on a page too full for the 48-byte pad: 170 records fit at
-  // base 16 exactly (16 + 170*24 = 4096) but not at base 64.
-  hdr.count = codec::MakePackedCountWord(cap, offsetof(Point, x), true);
-  EXPECT_EQ(CheckBlockPageHeader(hdr, cap, sizeof(Point), 4096).code(),
-            StatusCode::kCorruption);
-
-  // Count beyond capacity is rejected in either format.
-  hdr.count = cap + 1;
-  EXPECT_EQ(CheckBlockPageHeader(hdr, cap, sizeof(Point), 4096).code(),
-            StatusCode::kCorruption);
-  hdr.count = codec::MakePackedCountWord(cap + 1, offsetof(Point, x), false);
-  EXPECT_EQ(CheckBlockPageHeader(hdr, cap, sizeof(Point), 4096).code(),
-            StatusCode::kCorruption);
-
-  // The valid forms all pass.
-  hdr.count = cap;
-  EXPECT_TRUE(CheckBlockPageHeader(hdr, cap, sizeof(Point), 4096).ok());
-  hdr.count = codec::MakePackedCountWord(cap, offsetof(Point, x), false);
-  EXPECT_TRUE(CheckBlockPageHeader(hdr, cap, sizeof(Point), 4096).ok());
-  hdr.count = codec::MakePackedCountWord(100, offsetof(Point, x), true);
-  EXPECT_TRUE(CheckBlockPageHeader(hdr, cap, sizeof(Point), 4096).ok());
+  for (uint32_t bad : {cap + 1, 0x0080'0000u | 5u, 0x8000'0000u | 5u,
+                       0x8000'0000u | cap}) {
+    hdr.count = bad;
+    EXPECT_EQ(CheckBlockPageHeader(hdr, cap).code(), StatusCode::kCorruption)
+        << "count word " << bad;
+  }
+  for (uint32_t good : {0u, 5u, cap}) {
+    hdr.count = good;
+    EXPECT_TRUE(CheckBlockPageHeader(hdr, cap).ok()) << "count word " << good;
+  }
 }
 
-TEST(PageCodecTest, CorruptPackedPageSurfacesAsCorruptionEndToEnd) {
-  ForcedCodec on(1);
+TEST(BlockListTest, CorruptCountWordSurfacesAsCorruptionEndToEnd) {
+  // Through the list reader: flag bit 31 on a mid-chain page.
   MemPageDevice dev(512);
   auto pts = MakePoints(40);
-  auto info = BuildBlockList<Point>(&dev, std::span<const Point>(pts),
-                                    offsetof(Point, x))
-                  .value();
-  // Flip the key offset to point past the record and write the page back.
+  auto info = BuildBlockList<Point>(&dev, std::span<const Point>(pts)).value();
   std::vector<std::byte> buf(dev.page_size());
   ASSERT_TRUE(dev.Read(info.pages[1], buf.data()).ok());
   BlockPageHeader hdr;
   std::memcpy(&hdr, buf.data(), sizeof(hdr));
-  ASSERT_TRUE(codec::IsPacked(hdr.count));
-  hdr.count = codec::MakePackedCountWord(codec::Count(hdr.count),
-                                         /*key_off=*/64, false);
+  hdr.count |= 0x8000'0000u;
   std::memcpy(buf.data(), &hdr, sizeof(hdr));
   ASSERT_TRUE(dev.Write(info.pages[1], buf.data()).ok());
-
   std::vector<Point> out;
   Status s = ReadBlockList<Point>(&dev, info.ref, &out);
-  ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kCorruption) << s.ToString();
-}
 
-TEST(PageCodecTest, DisableEnvOverrideProducesV2Pages) {
-  ForcedCodec off(0);
-  MemPageDevice dev(512);
-  auto pts = MakePoints(25);
-  auto info = BuildBlockList<Point>(&dev, std::span<const Point>(pts),
-                                    offsetof(Point, x))
-                  .value();
-  std::vector<std::byte> buf(dev.page_size());
-  for (PageId id : info.pages) {
-    ASSERT_TRUE(dev.Read(id, buf.data()).ok());
-    BlockPageHeader hdr;
-    std::memcpy(&hdr, buf.data(), sizeof(hdr));
-    EXPECT_FALSE(codec::IsPacked(hdr.count));
-  }
+  // Through a structure query: the x-sorted baseline's data list is the
+  // first thing its Build allocates, so page 0 is the head every full-range
+  // scan reads first.
+  MemPageDevice sdev(512);
+  XSortedBaseline base(&sdev);
+  ASSERT_TRUE(base.Build(MakePoints(100)).ok());
+  ASSERT_TRUE(sdev.Read(0, buf.data()).ok());
+  std::memcpy(&hdr, buf.data(), sizeof(hdr));
+  ASSERT_EQ(hdr.count, RecordsPerPage<Point>(512));
+  hdr.count |= 0x8000'0000u;
+  std::memcpy(buf.data(), &hdr, sizeof(hdr));
+  ASSERT_TRUE(sdev.Write(0, buf.data()).ok());
+  out.clear();
+  s = base.QueryTwoSided({INT64_MIN, INT64_MIN}, &out);
+  EXPECT_EQ(s.code(), StatusCode::kCorruption) << s.ToString();
 }
 
 }  // namespace

@@ -62,6 +62,27 @@ TEST(BTreeTest, BulkLoadAndGet) {
   EXPECT_FALSE(found);
 }
 
+TEST(BTreeTest, UnknownNodeFormatIsCorruption) {
+  // Byte 1 of a node (NodeHeader.pad[0]) is the body format version; only
+  // the interleaved version 0 is readable.  Version 1 was the dropped
+  // deinterleaved layout.
+  for (uint8_t version : {uint8_t{1}, uint8_t{2}}) {
+    MemPageDevice dev(4096);
+    BPlusTree t(&dev);
+    ASSERT_TRUE(t.Init().ok());  // the root leaf is the device's page 0
+    ASSERT_TRUE(t.Insert({5, 7}).ok());
+    std::vector<std::byte> buf(dev.page_size());
+    ASSERT_TRUE(dev.Read(0, buf.data()).ok());
+    buf[1] = std::byte{version};
+    ASSERT_TRUE(dev.Write(0, buf.data()).ok());
+    bool found = false;
+    uint64_t v = 0;
+    Status s = t.Get(5, &v, &found);
+    EXPECT_EQ(s.code(), StatusCode::kCorruption) << s.ToString();
+    EXPECT_FALSE(found);
+  }
+}
+
 TEST(BTreeTest, BulkLoadRejectsUnsorted) {
   MemPageDevice dev(4096);
   BPlusTree t(&dev);

@@ -178,87 +178,6 @@ TEST(KernelsDispatch, KvBoundsImplTierTable) {
   EXPECT_EQ(kernels::KvBoundsImplTier(Tier::kSse2), Tier::kScalar);
   EXPECT_EQ(kernels::KvBoundsImplTier(Tier::kNeon), Tier::kScalar);
   EXPECT_EQ(kernels::KvBoundsImplTier(Tier::kAvx2), Tier::kAvx2);
-  // The packed (deinterleaved) bounds reuse each tier's dense I64 key
-  // kernels, so every tier runs its own code — including SSE2/NEON.
-  for (Tier t :
-       {Tier::kScalar, Tier::kSse2, Tier::kNeon, Tier::kAvx2}) {
-    EXPECT_EQ(kernels::KvPackedBoundsImplTier(t), t)
-        << kernels::TierName(t);
-  }
-}
-
-TEST(KernelsSearch, LowerUpperBoundKVPacked) {
-  // The packed variants must agree bit-for-bit with the interleaved ones
-  // (and hence with std::lower/upper_bound) on the same logical records, at
-  // every tier, across the same value-boundary probes.
-  std::mt19937_64 rng(29);
-  for (Tier t : AvailableTiers()) {
-    ForcedTier force(t);
-    for (size_t n : {0u, 1u, 2u, 3u, 15u, 16u, 17u, 64u, 333u, 1024u}) {
-      std::vector<KV> a(n);
-      for (auto& r : a) {
-        r.key = static_cast<int64_t>(rng() % 64) - 32;
-        r.value = (rng() % 4 == 0) ? (UINT64_MAX - rng() % 3) : rng() % 8;
-      }
-      std::sort(a.begin(), a.end(), KVLess);
-      std::vector<int64_t> keys(n);
-      std::vector<uint64_t> vals(n);
-      for (size_t i = 0; i < n; ++i) {
-        keys[i] = a[i].key;
-        vals[i] = a[i].value;
-      }
-      for (int rep = 0; rep < 300; ++rep) {
-        KV probe{static_cast<int64_t>(rng() % 70) - 35, rng() % 8};
-        switch (rep % 4) {
-          case 0:
-            probe.value = 0;
-            break;
-          case 1:
-            probe.value = UINT64_MAX;
-            break;
-          case 2:
-            if (n > 0) probe = a[rng() % n];
-            break;
-          default:
-            break;
-        }
-        const size_t lb_ref =
-            std::lower_bound(a.begin(), a.end(), probe, KVLess) - a.begin();
-        const size_t ub_ref =
-            std::upper_bound(a.begin(), a.end(), probe, KVLess) - a.begin();
-        ASSERT_EQ(kernels::LowerBoundKVPacked(keys.data(), vals.data(), n,
-                                              probe.key, probe.value),
-                  lb_ref)
-            << kernels::TierName(t) << " n=" << n;
-        ASSERT_EQ(kernels::UpperBoundKVPacked(keys.data(), vals.data(), n,
-                                              probe.key, probe.value),
-                  ub_ref)
-            << kernels::TierName(t) << " n=" << n;
-      }
-      // Degenerate key runs stress the tie-break window: every key equal,
-      // values ascending.
-      std::fill(keys.begin(), keys.end(), int64_t{7});
-      std::sort(vals.begin(), vals.end());
-      for (size_t i = 0; i < n; ++i) a[i] = KV{7, vals[i]};
-      for (int rep = 0; rep < 50; ++rep) {
-        const uint64_t v = rep % 2 == 0 ? rng() % 10
-                                        : UINT64_MAX - rng() % 3;
-        const KV probe{7, v};
-        const size_t lb_ref =
-            std::lower_bound(a.begin(), a.end(), probe, KVLess) - a.begin();
-        const size_t ub_ref =
-            std::upper_bound(a.begin(), a.end(), probe, KVLess) - a.begin();
-        ASSERT_EQ(
-            kernels::LowerBoundKVPacked(keys.data(), vals.data(), n, 7, v),
-            lb_ref)
-            << kernels::TierName(t) << " n=" << n;
-        ASSERT_EQ(
-            kernels::UpperBoundKVPacked(keys.data(), vals.data(), n, 7, v),
-            ub_ref)
-            << kernels::TierName(t) << " n=" << n;
-      }
-    }
-  }
 }
 
 TEST(KernelsSearch, UpperBoundKVStrided) {

@@ -14,7 +14,6 @@
 #include "io/crc32c.h"
 #include "io/file_page_device.h"
 #include "io/mem_page_device.h"
-#include "io/page_codec.h"
 #include "workload/generators.h"
 #include "workload/oracle.h"
 
@@ -309,42 +308,59 @@ TEST(PersistTest, SaveIsRepeatable) {
   EXPECT_EQ(out.size(), 5000u);
 }
 
-TEST(PersistTest, OldFormatStoreOpensUnderPackedWriters) {
-  // A store written entirely with the packed codec off is byte-identical to
-  // one a pre-v4 writer would produce (all pages interleaved).  Opening it
-  // with the codec on must read clean, verify clean, and serve the same
-  // answers: readers never consult the manifest version for page decoding,
-  // every block page self-describes.
-  MemPageDevice dev(4096);
-  auto pts = UniformPts(15000, 41);
-  codec::SetPackedPagesEnabled(0);
-  ThreeSidedPst pst(&dev);
-  Status built = pst.Build(pts);
-  codec::SetPackedPagesEnabled(-1);
-  ASSERT_TRUE(built.ok());
-  auto manifest = pst.Save();
-  ASSERT_TRUE(manifest.ok());
+// Builds a ThreeSidedPst, saves it, and rewrites the manifest header's
+// format_version (restamping the CRC, as a writer of that version would).
+struct RestampedStore {
+  MemPageDevice dev{4096};
+  std::vector<Point> pts;
+  PageId manifest = kInvalidPageId;
 
-  codec::SetPackedPagesEnabled(1);
-  ThreeSidedPst reopened(&dev);
-  Status opened = reopened.Open(manifest.value());
-  Status checked = opened.ok() ? reopened.CheckStructure() : opened;
-  Status queried = Status::OK();
-  if (opened.ok()) {
+  RestampedStore(uint64_t seed, uint32_t version) {
+    pts = UniformPts(15000, seed);
+    ThreeSidedPst pst(&dev);
+    EXPECT_TRUE(pst.Build(pts).ok());
+    auto m = pst.Save();
+    EXPECT_TRUE(m.ok());
+    manifest = m.value();
+    std::vector<std::byte> buf(dev.page_size());
+    EXPECT_TRUE(dev.Read(manifest, buf.data()).ok());
+    std::memcpy(buf.data() + offsetof(PstManifestHeader, format_version),
+                &version, sizeof(version));
+    RestampHeaderCrc(buf.data());
+    EXPECT_TRUE(dev.Write(manifest, buf.data()).ok());
+  }
+};
+
+TEST(PersistTest, InterleavedManifestVersionsStillOpen) {
+  // Versions 1-3 only ever held the interleaved page layout this build
+  // writes, so their stores must open, verify and answer like the oracle.
+  for (uint32_t version : {1u, 2u, 3u}) {
+    RestampedStore store(41, version);
+    ThreeSidedPst reopened(&store.dev);
+    Status opened = reopened.Open(store.manifest);
+    ASSERT_TRUE(opened.ok()) << "version " << version << ": "
+                             << opened.ToString();
+    Status checked = reopened.CheckStructure();
+    EXPECT_TRUE(checked.ok()) << checked.ToString();
     Rng rng(7);
-    for (int i = 0; i < 15 && queried.ok(); ++i) {
-      auto q = SampleThreeSidedQuery(pts, 0.05, &rng);
+    for (int i = 0; i < 15; ++i) {
+      auto q = SampleThreeSidedQuery(store.pts, 0.05, &rng);
       std::vector<Point> got;
-      queried = reopened.QueryThreeSided(q, &got);
-      if (queried.ok() && !SameResult(got, BruteThreeSided(pts, q))) {
-        queried = Status::Corruption("wrong answer from old-format store");
-      }
+      ASSERT_TRUE(reopened.QueryThreeSided(q, &got).ok());
+      EXPECT_TRUE(SameResult(got, BruteThreeSided(store.pts, q)))
+          << "version " << version << " query " << i;
     }
   }
-  codec::SetPackedPagesEnabled(-1);
-  ASSERT_TRUE(opened.ok()) << opened.ToString();
-  EXPECT_TRUE(checked.ok()) << checked.ToString();
-  EXPECT_TRUE(queried.ok()) << queried.ToString();
+}
+
+TEST(PersistTest, DroppedPackedFormatVersionIsNotSupported) {
+  // Version 4 was the only manifest whose pages could use the dropped
+  // packed page format; it is refused by type, before any page is decoded.
+  RestampedStore store(43, kDroppedPackedManifestVersion);
+  ThreeSidedPst reopened(&store.dev);
+  Status s = reopened.Open(store.manifest);
+  ASSERT_EQ(s.code(), StatusCode::kNotSupported) << s.ToString();
+  EXPECT_NE(s.message().find("v3"), std::string_view::npos) << s.ToString();
 }
 
 TEST(PersistTest, ManifestStampsCurrentFormatVersion) {
@@ -358,7 +374,7 @@ TEST(PersistTest, ManifestStampsCurrentFormatVersion) {
   PstManifestHeader hdr;
   std::memcpy(&hdr, buf.data(), sizeof(hdr));
   EXPECT_EQ(hdr.format_version, kManifestFormatVersion);
-  EXPECT_EQ(hdr.format_version, 4u);
+  EXPECT_EQ(hdr.format_version, 5u);
 }
 
 }  // namespace

@@ -334,7 +334,7 @@ TEST_F(SharedBufferPoolTest, AsyncBatchRefusesDuplicateIdsBeforeCounting) {
   EXPECT_EQ(bufs[2 * kPage], std::byte{0x11});
 }
 
-// --- Pin alignment (the packed-kernel performance contract) ---------------
+// --- Pin alignment (the SIMD-kernel performance contract) ------------------
 
 TEST_F(SharedBufferPoolTest, PinnedFramesAreCacheLineAligned) {
   // io/aligned.h promises every pool frame starts on a 64-byte boundary so
