@@ -56,6 +56,13 @@ struct EqCase {
   uint32_t page_size;
 };
 
+// Names each case by value; gtest's default byte dump would embed the
+// address of `dist`, which changes from build to build.
+void PrintTo(const EqCase& c, std::ostream* os) {
+  *os << c.dist << " n=" << c.n << " seed=" << c.seed
+      << " page=" << c.page_size;
+}
+
 class TwoSidedEquivalence : public ::testing::TestWithParam<EqCase> {};
 
 TEST_P(TwoSidedEquivalence, AllStructuresAgree) {
@@ -187,6 +194,11 @@ struct StabCase {
   uint64_t seed;
   uint32_t page_size;
 };
+
+void PrintTo(const StabCase& c, std::ostream* os) {
+  *os << c.dist << " n=" << c.n << " seed=" << c.seed
+      << " page=" << c.page_size;
+}
 
 class StabbingEquivalence : public ::testing::TestWithParam<StabCase> {};
 

@@ -33,6 +33,12 @@ struct GbCase {
   uint64_t seed;
 };
 
+// Names each case by value; gtest's default byte dump would embed the
+// address of `dist`, which changes from build to build.
+void PrintTo(const GbCase& c, std::ostream* os) {
+  *os << c.dist << " n=" << c.n << " seed=" << c.seed;
+}
+
 class GridBaselineSweep : public ::testing::TestWithParam<GbCase> {};
 
 TEST_P(GridBaselineSweep, MatchesBruteForce) {
