@@ -73,7 +73,8 @@ void BM_Ablation_PageSize(benchmark::State& state) {
   Env* env = GetEnv(page_size, 0);
   QueryLoop(state, env, env->dev.get(), env->dev.get(), page_size);
 }
-BENCHMARK(BM_Ablation_PageSize)->Arg(512)->Arg(1024)->Arg(4096)->Arg(16384);
+BENCHMARK(BM_Ablation_PageSize)->Arg(512)->Arg(1024)->Arg(4096)->Arg(16384)
+    ->Iterations(kCountedIterations);
 
 void BM_Ablation_SegmentLen(benchmark::State& state) {
   const uint32_t seg = static_cast<uint32_t>(state.range(0));
@@ -81,7 +82,8 @@ void BM_Ablation_SegmentLen(benchmark::State& state) {
   QueryLoop(state, env, env->dev.get(), env->dev.get(), 4096);
   state.counters["seg_len"] = static_cast<double>(env->pst->segment_len());
 }
-BENCHMARK(BM_Ablation_SegmentLen)->Arg(1)->Arg(2)->Arg(4)->Arg(7);
+BENCHMARK(BM_Ablation_SegmentLen)->Arg(1)->Arg(2)->Arg(4)->Arg(7)
+    ->Iterations(kCountedIterations);
 
 // Buffer pool ablation: a pool in front of the same device turns repeat
 // touches (skeletal top pages, hot caches) into hits.
@@ -120,7 +122,8 @@ void BM_Ablation_BufferPool(benchmark::State& state) {
           : static_cast<double>(pool->hits()) /
                 static_cast<double>(pool->hits() + pool->misses());
 }
-BENCHMARK(BM_Ablation_BufferPool)->Arg(0)->Arg(64)->Arg(1024)->Arg(16384);
+BENCHMARK(BM_Ablation_BufferPool)->Arg(0)->Arg(64)->Arg(1024)->Arg(16384)
+    ->Iterations(kCountedIterations);
 
 }  // namespace
 }  // namespace pathcache

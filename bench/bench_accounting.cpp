@@ -80,7 +80,7 @@ static void Args(benchmark::internal::Benchmark* b) {
   // tiny shifts the breakdown from descendant-dominated to cache-dominated.
   for (int64_t pct : {30, 70, 95}) b->Args({400'000, pct});
 }
-BENCHMARK(BM_Accounting_Breakdown)->Apply(Args);
+BENCHMARK(BM_Accounting_Breakdown)->Apply(Args)->Iterations(kCountedIterations);
 
 }  // namespace
 }  // namespace pathcache

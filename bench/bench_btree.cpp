@@ -47,7 +47,8 @@ void BM_BTreePointLookup(benchmark::State& state) {
   state.counters["bound_logB_n"] =
       static_cast<double>(CeilLogBase(n, tree.leaf_capacity()));
 }
-BENCHMARK(BM_BTreePointLookup)->Arg(10'000)->Arg(100'000)->Arg(1'000'000);
+BENCHMARK(BM_BTreePointLookup)->Arg(10'000)->Arg(100'000)->Arg(1'000'000)
+    ->Iterations(kCountedIterations);
 
 void BM_BTreeRangeScan(benchmark::State& state) {
   const uint64_t n = 1'000'000;
@@ -75,7 +76,8 @@ void BM_BTreeRangeScan(benchmark::State& state) {
       CeilLogBase(n, tree.leaf_capacity()) +
       CeilDiv(t_target, tree.leaf_capacity()));
 }
-BENCHMARK(BM_BTreeRangeScan)->Arg(100)->Arg(1'000)->Arg(10'000)->Arg(100'000);
+BENCHMARK(BM_BTreeRangeScan)->Arg(100)->Arg(1'000)->Arg(10'000)->Arg(100'000)
+    ->Iterations(kCountedIterations);
 
 void BM_BTreeInsert(benchmark::State& state) {
   const uint64_t n = static_cast<uint64_t>(state.range(0));
@@ -97,7 +99,8 @@ void BM_BTreeInsert(benchmark::State& state) {
   state.counters["bound_logB_n"] =
       static_cast<double>(CeilLogBase(n, tree.leaf_capacity()));
 }
-BENCHMARK(BM_BTreeInsert)->Arg(100'000)->Arg(1'000'000);
+BENCHMARK(BM_BTreeInsert)->Arg(100'000)->Arg(1'000'000)
+    ->Iterations(kCountedIterations);
 
 }  // namespace
 }  // namespace pathcache

@@ -10,6 +10,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <vector>
@@ -38,6 +39,12 @@ inline std::vector<size_t> ZipfIndexStream(size_t pool, size_t count,
   }
   return idx;
 }
+
+/// Iteration count of every counted-I/O benchmark.  Each benchmark replays
+/// a seeded query stream and reports its mean I/O; a time-based iteration
+/// count would average a different prefix of the stream on every run, so
+/// the count is fixed and the counters come out identical run to run.
+inline constexpr int64_t kCountedIterations = 2000;
 
 /// Registers the per-operation counted-I/O counter every bench reports,
 /// under the bench's established name (io_per_query, io_per_update, ...).

@@ -127,9 +127,9 @@ void BM_Dist_BtreeScan(benchmark::State& state) {
 static void Args(benchmark::internal::Benchmark* b) {
   for (int dist : {0, 1, 2, 3}) b->Args({dist, 200'000});
 }
-BENCHMARK(BM_Dist_TwoLevelPst)->Apply(Args);
-BENCHMARK(BM_Dist_GridFile)->Apply(Args);
-BENCHMARK(BM_Dist_BtreeScan)->Apply(Args);
+BENCHMARK(BM_Dist_TwoLevelPst)->Apply(Args)->Iterations(kCountedIterations);
+BENCHMARK(BM_Dist_GridFile)->Apply(Args)->Iterations(kCountedIterations);
+BENCHMARK(BM_Dist_BtreeScan)->Apply(Args)->Iterations(kCountedIterations);
 
 }  // namespace
 }  // namespace pathcache

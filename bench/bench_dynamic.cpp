@@ -127,7 +127,8 @@ void BM_Dynamic_QueryUnderChurn(benchmark::State& state) {
       static_cast<double>(total_t) / static_cast<double>(ops);
   state.counters["bound_logB_n"] = static_cast<double>(CeilLogBase(n, B));
 }
-BENCHMARK(BM_Dynamic_QueryUnderChurn)->Arg(100'000)->Arg(400'000);
+BENCHMARK(BM_Dynamic_QueryUnderChurn)->Arg(100'000)->Arg(400'000)
+    ->Iterations(kCountedIterations);
 
 }  // namespace
 }  // namespace pathcache

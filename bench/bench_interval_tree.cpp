@@ -99,8 +99,10 @@ void BM_SegmentTree_Stab(benchmark::State& state) {
       static_cast<double>(CeilDiv(n, B) * CeilLog2(n));
 }
 
-BENCHMARK(BM_IntervalTree_Stab)->Arg(20'000)->Arg(100'000)->Arg(400'000);
-BENCHMARK(BM_SegmentTree_Stab)->Arg(20'000)->Arg(100'000)->Arg(400'000);
+BENCHMARK(BM_IntervalTree_Stab)->Arg(20'000)->Arg(100'000)->Arg(400'000)
+    ->Iterations(kCountedIterations);
+BENCHMARK(BM_SegmentTree_Stab)->Arg(20'000)->Arg(100'000)->Arg(400'000)
+    ->Iterations(kCountedIterations);
 
 }  // namespace
 }  // namespace pathcache

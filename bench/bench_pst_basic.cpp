@@ -122,9 +122,9 @@ static void Args(benchmark::internal::Benchmark* b) {
     for (int64_t t : {64, 1024, 16'384}) b->Args({n, t});
   }
 }
-BENCHMARK(BM_PstBasic_Cached)->Apply(Args);
-BENCHMARK(BM_PstBasic_IKO)->Apply(Args);
-BENCHMARK(BM_PstBasic_BtreeScan)->Apply(Args);
+BENCHMARK(BM_PstBasic_Cached)->Apply(Args)->Iterations(kCountedIterations);
+BENCHMARK(BM_PstBasic_IKO)->Apply(Args)->Iterations(kCountedIterations);
+BENCHMARK(BM_PstBasic_BtreeScan)->Apply(Args)->Iterations(kCountedIterations);
 
 // DEEP-CORNER queries: x >= (t-th largest x) with a LOW y edge, so the
 // corner descent runs the full tree depth while t stays small.  This is the
@@ -177,8 +177,10 @@ static void DeepArgs(benchmark::internal::Benchmark* b) {
     for (int64_t t : {64, 512}) b->Args({n, t});
   }
 }
-BENCHMARK(BM_PstBasic_Cached_DeepCorner)->Apply(DeepArgs);
-BENCHMARK(BM_PstBasic_IKO_DeepCorner)->Apply(DeepArgs);
+BENCHMARK(BM_PstBasic_Cached_DeepCorner)->Apply(DeepArgs)
+    ->Iterations(kCountedIterations);
+BENCHMARK(BM_PstBasic_IKO_DeepCorner)->Apply(DeepArgs)
+    ->Iterations(kCountedIterations);
 
 }  // namespace
 }  // namespace pathcache

@@ -87,7 +87,7 @@ static void Args(benchmark::internal::Benchmark* b) {
     for (int64_t levels : {2, 3, 4}) b->Args({n, levels});
   }
 }
-BENCHMARK(BM_Multilevel)->Apply(Args);
+BENCHMARK(BM_Multilevel)->Apply(Args)->Iterations(kCountedIterations);
 
 }  // namespace
 }  // namespace pathcache

@@ -104,8 +104,8 @@ static void Args(benchmark::internal::Benchmark* b) {
     for (int64_t t : {128, 8'192}) b->Args({n, t});
   }
 }
-BENCHMARK(BM_TwoLevel_Query)->Apply(Args);
-BENCHMARK(BM_Basic_Query)->Apply(Args);
+BENCHMARK(BM_TwoLevel_Query)->Apply(Args)->Iterations(kCountedIterations);
+BENCHMARK(BM_Basic_Query)->Apply(Args)->Iterations(kCountedIterations);
 
 }  // namespace
 }  // namespace pathcache

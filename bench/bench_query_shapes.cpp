@@ -68,7 +68,8 @@ void BM_Shape_DiagonalCorner(benchmark::State& state) {
   state.counters["t_mean"] =
       static_cast<double>(total_t) / static_cast<double>(ops);
 }
-BENCHMARK(BM_Shape_DiagonalCorner)->Arg(200'000);
+BENCHMARK(BM_Shape_DiagonalCorner)->Arg(200'000)
+    ->Iterations(kCountedIterations);
 
 void BM_Shape_TwoSided(benchmark::State& state) {
   Env* env = GetEnv(state.range(0));
@@ -87,7 +88,7 @@ void BM_Shape_TwoSided(benchmark::State& state) {
   state.counters["t_mean"] =
       static_cast<double>(total_t) / static_cast<double>(ops);
 }
-BENCHMARK(BM_Shape_TwoSided)->Arg(200'000);
+BENCHMARK(BM_Shape_TwoSided)->Arg(200'000)->Iterations(kCountedIterations);
 
 void BM_Shape_ThreeSided(benchmark::State& state) {
   Env* env = GetEnv(state.range(0));
@@ -107,7 +108,7 @@ void BM_Shape_ThreeSided(benchmark::State& state) {
   state.counters["t_mean"] =
       static_cast<double>(total_t) / static_cast<double>(ops);
 }
-BENCHMARK(BM_Shape_ThreeSided)->Arg(200'000);
+BENCHMARK(BM_Shape_ThreeSided)->Arg(200'000)->Iterations(kCountedIterations);
 
 void BM_Shape_General2D(benchmark::State& state) {
   Env* env = GetEnv(state.range(0));
@@ -132,7 +133,7 @@ void BM_Shape_General2D(benchmark::State& state) {
   state.counters["t_mean"] =
       static_cast<double>(total_t) / static_cast<double>(ops);
 }
-BENCHMARK(BM_Shape_General2D)->Arg(200'000);
+BENCHMARK(BM_Shape_General2D)->Arg(200'000)->Iterations(kCountedIterations);
 
 }  // namespace
 }  // namespace pathcache

@@ -88,12 +88,14 @@ BENCHMARK(BM_SegTree_PathCached)
     ->Arg(10'000)
     ->Arg(50'000)
     ->Arg(200'000)
-    ->Arg(500'000);
+    ->Arg(500'000)
+    ->Iterations(kCountedIterations);
 BENCHMARK(BM_SegTree_Naive)
     ->Arg(10'000)
     ->Arg(50'000)
     ->Arg(200'000)
-    ->Arg(500'000);
+    ->Arg(500'000)
+    ->Iterations(kCountedIterations);
 
 }  // namespace
 }  // namespace pathcache

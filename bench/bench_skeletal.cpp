@@ -113,9 +113,10 @@ static void Args(benchmark::internal::Benchmark* b) {
     for (int64_t page : {512, 4096, 16384}) b->Args({n, page});
   }
 }
-BENCHMARK(BM_Skeletal_Blocked)->Apply(Args);
+BENCHMARK(BM_Skeletal_Blocked)->Apply(Args)->Iterations(kCountedIterations);
 BENCHMARK(BM_Skeletal_PointerChase)->Args({65'535, 4096})
-    ->Args({1'048'575, 4096});
+    ->Args({1'048'575, 4096})
+    ->Iterations(kCountedIterations);
 
 }  // namespace
 }  // namespace pathcache

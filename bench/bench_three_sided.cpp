@@ -119,9 +119,9 @@ static void Args(benchmark::internal::Benchmark* b) {
     b->Args({n, 200, 2});   // wide band, y-selective, descendant-dominated
   }
 }
-BENCHMARK(BM_ThreeSided_Cached)->Apply(Args);
-BENCHMARK(BM_ThreeSided_Uncached)->Apply(Args);
-BENCHMARK(BM_ThreeSided_BtreeScan)->Apply(Args);
+BENCHMARK(BM_ThreeSided_Cached)->Apply(Args)->Iterations(kCountedIterations);
+BENCHMARK(BM_ThreeSided_Uncached)->Apply(Args)->Iterations(kCountedIterations);
+BENCHMARK(BM_ThreeSided_BtreeScan)->Apply(Args)->Iterations(kCountedIterations);
 
 }  // namespace
 }  // namespace pathcache

@@ -261,12 +261,6 @@ struct KernelAblation {
   double speedup = 0.0;
 };
 
-struct E20Result {
-  bool uring_available = false;
-  uint64_t cold_reads_preadv = 0;  // asserted == cold_reads_uring
-  uint64_t cold_reads_uring = 0;
-};
-
 struct ChecksumResult {
   bool enabled = false;
   double qps_plain = 0.0;       // contemporaneous 1-thread warm baseline
@@ -277,7 +271,7 @@ struct ChecksumResult {
 
 void WriteJson(const Options& opt, const std::vector<ColdCell>& cold,
                const std::vector<WarmRow>& warm, const KernelAblation& ka,
-               const ChecksumResult& sum, const E20Result& e20) {
+               const ChecksumResult& sum) {
   std::FILE* f = std::fopen(opt.json_path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "FATAL cannot open %s for writing\n",
@@ -329,11 +323,6 @@ void WriteJson(const Options& opt, const std::vector<ColdCell>& cold,
     w.Key("pages_verified").Uint(sum.pages_verified);
     w.EndObject();
   }
-  w.Key("e20_async").BeginObject();
-  w.Key("uring_available").Bool(e20.uring_available);
-  w.Key("cold_file_reads_preadv").Uint(e20.cold_reads_preadv);
-  w.Key("cold_file_reads_uring").Uint(e20.cold_reads_uring);
-  w.EndObject();
   w.EndObject();
   std::fputc('\n', f);
   std::fclose(f);
@@ -540,71 +529,7 @@ int Main(int argc, char** argv) {
         static_cast<unsigned long long>(sumres.pages_verified));
   }
 
-  // ---- Async-readahead transport check (E20): cold counted reads are
-  // bit-identical preadv vs async io_uring — the ring is a transport,
-  // readahead is counted at batch granularity either way.  Reopen the
-  // clustered file through a fresh device per backend and replay the cold
-  // pass.
-  E20Result e20;
-  auto cold_with_backend = [&](FilePageDevice::ReadBackend be,
-                               bool* supported) -> uint64_t {
-    auto dev = BenchValue(
-        FilePageDevice::Open("/tmp/pathcache_bench_throughput.clustered.bin"),
-        "reopen clustered store");
-    if (!dev->SetReadBackend(be).ok()) {
-      *supported = false;
-      return 0;
-    }
-    *supported = true;
-    SharedBufferPool pool(dev.get(), /*capacity_pages=*/1 << 20, kShards);
-    ExternalPstOptions o2;
-    o2.enable_readahead = true;
-    ExternalPst pst(&pool, o2);
-    BenchCheck(pst.Open(s.pst_manifest), "e20 reopen 2-sided");
-    ThreeSidedPstOptions o3;
-    o3.enable_readahead = true;
-    ThreeSidedPst pst3(&pool, o3);
-    BenchCheck(pst3.Open(s.pst3_manifest), "e20 reopen 3-sided");
-    dev->ResetStats();  // count the query pass, not the manifest opens
-    std::vector<Point> out;
-    for (uint64_t i = 0; i < cold_qs.two.size(); ++i) {
-      out.clear();
-      BenchCheck(pst.QueryTwoSided(cold_qs.two[i], &out), "e20 cold 2-sided");
-      out.clear();
-      BenchCheck(pst3.QueryThreeSided(cold_qs.three[i], &out),
-                 "e20 cold 3-sided");
-    }
-    return dev->stats().reads;
-  };
-  bool preadv_ok = false;
-  e20.cold_reads_preadv =
-      cold_with_backend(FilePageDevice::ReadBackend::kPreadv, &preadv_ok);
-  if (!preadv_ok) {
-    std::fprintf(stderr, "FATAL preadv backend refused on a reopened store\n");
-    std::abort();
-  }
-  e20.cold_reads_uring = cold_with_backend(FilePageDevice::ReadBackend::kIoUring,
-                                           &e20.uring_available);
-  if (e20.uring_available) {
-    if (e20.cold_reads_preadv != e20.cold_reads_uring) {
-      std::fprintf(stderr,
-                   "FATAL counted reads differ across read backends: "
-                   "preadv=%llu io_uring=%llu\n",
-                   static_cast<unsigned long long>(e20.cold_reads_preadv),
-                   static_cast<unsigned long long>(e20.cold_reads_uring));
-      std::abort();
-    }
-    std::printf(
-        "e20: counted cold reads identical preadv vs io_uring (asserted, "
-        "%llu)\n",
-        static_cast<unsigned long long>(e20.cold_reads_uring));
-  } else {
-    std::printf("e20: io_uring unavailable here; backend parity not run "
-                "(preadv cold reads %llu)\n",
-                static_cast<unsigned long long>(e20.cold_reads_preadv));
-  }
-
-  if (!opt.json_path.empty()) WriteJson(opt, cold, warm, ka, sumres, e20);
+  if (!opt.json_path.empty()) WriteJson(opt, cold, warm, ka, sumres);
   return 0;
 }
 

@@ -12,31 +12,6 @@ namespace pathcache {
 
 namespace {
 
-Status ReadPointBlockPage(PageDevice* dev, PageId page,
-                          std::vector<Point>* out, PageId* next) {
-  std::vector<std::byte> buf(dev->page_size());
-  PC_RETURN_IF_ERROR(dev->Read(page, buf.data()));
-  BlockPageHeader hdr;
-  std::memcpy(&hdr, buf.data(), sizeof(hdr));
-  PC_RETURN_IF_ERROR(
-      CheckBlockPageHeader(hdr, RecordsPerPage<Point>(dev->page_size())));
-  AppendBlockRecords(buf.data(), hdr, out);
-  if (next != nullptr) *next = hdr.next;
-  return Status::OK();
-}
-
-Status ReadSrcBlockPage(PageDevice* dev, PageId page,
-                        std::vector<SrcPoint>* out) {
-  std::vector<std::byte> buf(dev->page_size());
-  PC_RETURN_IF_ERROR(dev->Read(page, buf.data()));
-  BlockPageHeader hdr;
-  std::memcpy(&hdr, buf.data(), sizeof(hdr));
-  PC_RETURN_IF_ERROR(
-      CheckBlockPageHeader(hdr, RecordsPerPage<SrcPoint>(dev->page_size())));
-  AppendBlockRecords(buf.data(), hdr, out);
-  return Status::OK();
-}
-
 void Bump(QueryStats* stats, uint64_t QueryStats::* role, uint64_t n = 1) {
   if (stats != nullptr) stats->*role += n;
 }
@@ -57,6 +32,22 @@ bool CompositeGe(int64_t y, uint64_t id, int64_t min_y, uint64_t min_id) {
 }
 
 }  // namespace
+
+Status WriteUpdateBuffer(PageDevice* dev, PageId page,
+                         std::span<const UpdateRec> recs) {
+  if (recs.size() > RecordsPerPage<UpdateRec>(dev->page_size())) {
+    return Status::InvalidArgument("update buffer overflows its page");
+  }
+  std::vector<std::byte> buf(dev->page_size());
+  BlockPageHeader hdr;
+  hdr.count = static_cast<uint32_t>(recs.size());
+  std::memcpy(buf.data(), &hdr, sizeof(hdr));
+  if (!recs.empty()) {
+    std::memcpy(buf.data() + sizeof(hdr), recs.data(),
+                recs.size() * sizeof(UpdateRec));
+  }
+  return dev->Write(page, buf.data());
+}
 
 DynamicPst::DynamicPst(PageDevice* dev, DynamicPstOptions opts)
     : dev_(dev), opts_(opts) {
@@ -129,12 +120,12 @@ Status DynamicPst::BuildInternal(std::vector<Point> points) {
     auto ru = dev_->Allocate();
     if (!ru.ok()) return ru.status();
     m.region_u = ru.value();
-    PC_RETURN_IF_ERROR(WriteBuffer(m.region_u, {}));
+    PC_RETURN_IF_ERROR(WriteUpdateBuffer(dev_, m.region_u, {}));
     if (m.depth % seg_len_ == 0) {
       auto su = dev_->Allocate();
       if (!su.ok()) return su.status();
       m.snode_u = su.value();
-      PC_RETURN_IF_ERROR(WriteBuffer(m.snode_u, {}));
+      PC_RETURN_IF_ERROR(WriteUpdateBuffer(dev_, m.snode_u, {}));
     }
 
     auto child = std::make_unique<ExternalPst>(dev_, ExternalPstOptions{});
@@ -186,36 +177,12 @@ Status DynamicPst::BuildInternal(std::vector<Point> points) {
   return Status::OK();
 }
 
-Status DynamicPst::ReadBuffer(PageId buffer,
-                              std::vector<UpdateRec>* out) const {
-  std::vector<std::byte> buf(dev_->page_size());
-  PC_RETURN_IF_ERROR(dev_->Read(buffer, buf.data()));
-  BlockPageHeader hdr;
-  std::memcpy(&hdr, buf.data(), sizeof(hdr));
-  size_t old = out->size();
-  out->resize(old + hdr.count);
-  std::memcpy(out->data() + old, buf.data() + sizeof(hdr),
-              hdr.count * sizeof(UpdateRec));
-  return Status::OK();
-}
-
-Status DynamicPst::WriteBuffer(PageId buffer,
-                               const std::vector<UpdateRec>& recs) {
-  std::vector<std::byte> buf(dev_->page_size());
-  BlockPageHeader hdr;
-  hdr.count = static_cast<uint32_t>(recs.size());
-  std::memcpy(buf.data(), &hdr, sizeof(hdr));
-  std::memcpy(buf.data() + sizeof(hdr), recs.data(),
-              recs.size() * sizeof(UpdateRec));
-  return dev_->Write(buffer, buf.data());
-}
-
 Status DynamicPst::AppendToBuffer(PageId buffer, const UpdateRec& rec,
                                   bool* overflow) {
   std::vector<UpdateRec> recs;
-  PC_RETURN_IF_ERROR(ReadBuffer(buffer, &recs));
+  PC_RETURN_IF_ERROR(ReadBlockPage(dev_, buffer, &recs));
   recs.push_back(rec);
-  PC_RETURN_IF_ERROR(WriteBuffer(buffer, recs));
+  PC_RETURN_IF_ERROR(WriteUpdateBuffer(dev_, buffer, recs));
   *overflow = recs.size() >= buf_cap_;
   return Status::OK();
 }
@@ -237,8 +204,8 @@ Status DynamicPst::Update(const Point& p, uint32_t op) {
 Status DynamicPst::FlushSupernode(int32_t snode_root) {
   ++flushes_;
   std::vector<UpdateRec> recs;
-  PC_RETURN_IF_ERROR(ReadBuffer(meta_[snode_root].snode_u, &recs));
-  PC_RETURN_IF_ERROR(WriteBuffer(meta_[snode_root].snode_u, {}));
+  PC_RETURN_IF_ERROR(ReadBlockPage(dev_, meta_[snode_root].snode_u, &recs));
+  PC_RETURN_IF_ERROR(WriteUpdateBuffer(dev_, meta_[snode_root].snode_u, {}));
 
   // Route each record: it belongs to the first node (from the supernode
   // root down) whose heap band contains it; records crossing into a child
@@ -292,7 +259,7 @@ Status DynamicPst::ReadRegionPoints(int32_t v, std::vector<Point>* out) const {
   if (meta_[v].x_pages.empty()) return Status::OK();
   PageId page = meta_[v].x_pages[0];
   while (page != kInvalidPageId) {
-    PC_RETURN_IF_ERROR(ReadPointBlockPage(dev_, page, out, &page));
+    PC_RETURN_IF_ERROR(ReadBlockPage(dev_, page, out, &page));
   }
   return Status::OK();
 }
@@ -338,7 +305,7 @@ Status DynamicPst::ApplyToRegion(int32_t v,
 
   // Pending-for-second-level buffer; overflow rebuilds the second level.
   std::vector<UpdateRec> pending;
-  PC_RETURN_IF_ERROR(ReadBuffer(m.region_u, &pending));
+  PC_RETURN_IF_ERROR(ReadBlockPage(dev_, m.region_u, &pending));
   pending.insert(pending.end(), recs.begin(), recs.end());
   if (pending.size() >= buf_cap_) {
     PC_RETURN_IF_ERROR(second_[v]->Destroy());
@@ -347,7 +314,7 @@ Status DynamicPst::ApplyToRegion(int32_t v,
     PC_RETURN_IF_ERROR(second_[v]->Build(pts));
     pending.clear();
   }
-  PC_RETURN_IF_ERROR(WriteBuffer(m.region_u, pending));
+  PC_RETURN_IF_ERROR(WriteUpdateBuffer(dev_, m.region_u, pending));
   region_u_counts_[v] = static_cast<uint32_t>(pending.size());
   return Status::OK();
 }
@@ -394,7 +361,7 @@ Status DynamicPst::RebuildCacheOf(int32_t v,
     std::vector<Point> first;
     if (!meta_[u].x_pages.empty()) {
       PC_RETURN_IF_ERROR(
-          ReadPointBlockPage(dev_, meta_[u].x_pages[0], &first, nullptr));
+          ReadBlockPage(dev_, meta_[u].x_pages[0], &first, nullptr));
     }
     for (const Point& p : first) a_recs.push_back(SrcPoint::From(p, ord));
     cache.ancs.push_back(
@@ -411,7 +378,7 @@ Status DynamicPst::RebuildCacheOf(int32_t v,
     std::vector<Point> first;
     if (!meta_[sib].y_pages.empty()) {
       PC_RETURN_IF_ERROR(
-          ReadPointBlockPage(dev_, meta_[sib].y_pages[0], &first, nullptr));
+          ReadBlockPage(dev_, meta_[sib].y_pages[0], &first, nullptr));
     }
     for (const Point& p : first) s_recs.push_back(SrcPoint::From(p, ord));
     cache.sibs.push_back(SibInfo{
@@ -491,7 +458,7 @@ Status DynamicPst::CollectAllPoints(std::vector<Point>* out) const {
   std::vector<UpdateRec> pending;
   for (size_t v = 0; v < meta_.size(); ++v) {
     if (meta_[v].snode_u != kInvalidPageId) {
-      PC_RETURN_IF_ERROR(ReadBuffer(meta_[v].snode_u, &pending));
+      PC_RETURN_IF_ERROR(ReadBlockPage(dev_, meta_[v].snode_u, &pending));
     }
   }
   std::sort(pending.begin(), pending.end(),
@@ -610,7 +577,7 @@ Status DynamicPst::QueryTwoSided(const TwoSidedQuery& q,
     }
     Bump(stats, &QueryStats::buffer);
     Bump(stats, &QueryStats::wasteful);
-    return ReadBuffer(page, &pending_ops);
+    return ReadBlockPage(dev_, page, &pending_ops);
   };
   for (const PathEnt& ent : path) {
     PC_RETURN_IF_ERROR(read_snode_buffer(ent.rec.snode_u));
@@ -626,7 +593,7 @@ Status DynamicPst::QueryTwoSided(const TwoSidedQuery& q,
       PC_RETURN_IF_ERROR(CheckChainStep(walked++, dev_->live_pages()));
       std::vector<Point> pts;
       PageId next;
-      PC_RETURN_IF_ERROR(ReadPointBlockPage(dev_, cur, &pts, &next));
+      PC_RETURN_IF_ERROR(ReadBlockPage(dev_, cur, &pts, &next));
       Bump(stats, role);
       uint64_t block_qual = 0;
       for (const Point& p : pts) {
@@ -692,7 +659,7 @@ Status DynamicPst::QueryTwoSided(const TwoSidedQuery& q,
     for (PageId p : cache.a_pages) {
       if (stop) break;
       std::vector<SrcPoint> recs;
-      PC_RETURN_IF_ERROR(ReadSrcBlockPage(dev_, p, &recs));
+      PC_RETURN_IF_ERROR(ReadBlockPage(dev_, p, &recs));
       Bump(stats, &QueryStats::cache);
       uint64_t qual = 0;
       for (const SrcPoint& sp : recs) {
@@ -730,7 +697,7 @@ Status DynamicPst::QueryTwoSided(const TwoSidedQuery& q,
     for (PageId p : cache.s_pages) {
       if (stop) break;
       std::vector<SrcPoint> recs;
-      PC_RETURN_IF_ERROR(ReadSrcBlockPage(dev_, p, &recs));
+      PC_RETURN_IF_ERROR(ReadBlockPage(dev_, p, &recs));
       Bump(stats, &QueryStats::cache);
       uint64_t qual = 0;
       for (const SrcPoint& sp : recs) {
@@ -800,7 +767,7 @@ Status DynamicPst::QueryTwoSided(const TwoSidedQuery& q,
       *stats += sub_stats;
     }
     std::vector<UpdateRec> region_pending;
-    PC_RETURN_IF_ERROR(ReadBuffer(crec.region_u, &region_pending));
+    PC_RETURN_IF_ERROR(ReadBlockPage(dev_, crec.region_u, &region_pending));
     Bump(stats, &QueryStats::buffer);
     Bump(stats, &QueryStats::wasteful);
     std::sort(region_pending.begin(), region_pending.end(),

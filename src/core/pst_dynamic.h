@@ -37,6 +37,7 @@
 #define PATHCACHE_CORE_PST_DYNAMIC_H_
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/pst_common.h"
@@ -58,6 +59,12 @@ struct UpdateRec {
   Point ToPoint() const { return Point{x, y, id}; }
 };
 static_assert(sizeof(UpdateRec) == 32);
+
+/// Overwrites the one-page update buffer `page` with `recs`; more than
+/// RecordsPerPage<UpdateRec> records is InvalidArgument.  Buffers are read
+/// back with ReadBlockPage (io/block_list.h), which checks the count word.
+Status WriteUpdateBuffer(PageDevice* dev, PageId page,
+                         std::span<const UpdateRec> recs);
 
 /// Skeletal node record of the dynamic two-level PST.
 struct DynNodeRec {
@@ -141,8 +148,6 @@ class DynamicPst {
   Status BuildInternal(std::vector<Point> points);
   Status DestroyInternal();
   Status AppendToBuffer(PageId buffer, const UpdateRec& rec, bool* overflow);
-  Status ReadBuffer(PageId buffer, std::vector<UpdateRec>* out) const;
-  Status WriteBuffer(PageId buffer, const std::vector<UpdateRec>& recs);
   Status Update(const Point& p, uint32_t op);
   Status FlushSupernode(int32_t snode_root);
   Status ApplyToRegion(int32_t v, const std::vector<UpdateRec>& recs);

@@ -41,19 +41,6 @@ struct SIndexHeader {
 };
 static_assert(sizeof(SIndexHeader) == 16);
 
-Status ReadPointBlock(PageDevice* dev, PageId page, std::vector<Point>* out,
-                      PageId* next) {
-  std::vector<std::byte> buf(dev->page_size());
-  PC_RETURN_IF_ERROR(dev->Read(page, buf.data()));
-  BlockPageHeader hdr;
-  std::memcpy(&hdr, buf.data(), sizeof(hdr));
-  PC_RETURN_IF_ERROR(
-      CheckBlockPageHeader(hdr, RecordsPerPage<Point>(dev->page_size())));
-  AppendBlockRecords(buf.data(), hdr, out);
-  *next = hdr.next;
-  return Status::OK();
-}
-
 void Bump(QueryStats* stats, uint64_t QueryStats::* role, uint64_t n = 1) {
   if (stats != nullptr) stats->*role += n;
 }
@@ -621,7 +608,7 @@ Status ThreeSidedPst::QueryUncached(const ThreeSidedQuery& q,
       while (page != kInvalidPageId) {
         PC_RETURN_IF_ERROR(CheckChainStep(walked++, dev_->live_pages()));
         PageId next;
-        PC_RETURN_IF_ERROR(ReadPointBlock(dev_, page, &pts, &next));
+        PC_RETURN_IF_ERROR(ReadBlockPage(dev_, page, &pts, &next));
         Bump(stats, role);
         page = next;
       }
@@ -670,7 +657,7 @@ Status ThreeSidedPst::QueryUncached(const ThreeSidedQuery& q,
       while (page != kInvalidPageId) {
         PC_RETURN_IF_ERROR(CheckChainStep(walked++, dev_->live_pages()));
         PageId next;
-        PC_RETURN_IF_ERROR(ReadPointBlock(dev_, page, &pts, &next));
+        PC_RETURN_IF_ERROR(ReadBlockPage(dev_, page, &pts, &next));
         Bump(stats, &QueryStats::sibling);
         page = next;
       }

@@ -9,34 +9,6 @@
 
 namespace pathcache {
 
-namespace {
-
-Status ReadBufferPage(PageDevice* dev, PageId page,
-                      std::vector<UpdateRec>* out) {
-  std::vector<std::byte> buf(dev->page_size());
-  PC_RETURN_IF_ERROR(dev->Read(page, buf.data()));
-  BlockPageHeader hdr;
-  std::memcpy(&hdr, buf.data(), sizeof(hdr));
-  size_t old = out->size();
-  out->resize(old + hdr.count);
-  std::memcpy(out->data() + old, buf.data() + sizeof(hdr),
-              hdr.count * sizeof(UpdateRec));
-  return Status::OK();
-}
-
-Status WriteBufferPage(PageDevice* dev, PageId page,
-                       const std::vector<UpdateRec>& recs) {
-  std::vector<std::byte> buf(dev->page_size());
-  BlockPageHeader hdr;
-  hdr.count = static_cast<uint32_t>(recs.size());
-  std::memcpy(buf.data(), &hdr, sizeof(hdr));
-  std::memcpy(buf.data() + sizeof(hdr), recs.data(),
-              recs.size() * sizeof(UpdateRec));
-  return dev->Write(page, buf.data());
-}
-
-}  // namespace
-
 DynamicThreeSidedPst::DynamicThreeSidedPst(PageDevice* dev,
                                            DynamicThreeSidedOptions opts)
     : dev_(dev), opts_(opts) {
@@ -53,7 +25,7 @@ Status DynamicThreeSidedPst::Build(std::vector<Point> points) {
   auto p = dev_->Allocate();
   if (!p.ok()) return p.status();
   buffer_pages_.push_back(p.value());
-  return WriteBufferPage(dev_, buffer_pages_.back(), {});
+  return WriteUpdateBuffer(dev_, buffer_pages_.back(), {});
 }
 
 Status DynamicThreeSidedPst::Insert(const Point& p) { return Update(p, 0); }
@@ -62,7 +34,7 @@ Status DynamicThreeSidedPst::Erase(const Point& p) { return Update(p, 1); }
 Status DynamicThreeSidedPst::Update(const Point& p, uint32_t op) {
   if (image_ == nullptr) PC_RETURN_IF_ERROR(Build({}));
   std::vector<UpdateRec> tail;
-  PC_RETURN_IF_ERROR(ReadBufferPage(dev_, buffer_pages_.back(), &tail));
+  PC_RETURN_IF_ERROR(ReadBlockPage(dev_, buffer_pages_.back(), &tail));
   if (tail.size() >= buf_cap_) {
     auto np = dev_->Allocate();
     if (!np.ok()) return np.status();
@@ -70,7 +42,7 @@ Status DynamicThreeSidedPst::Update(const Point& p, uint32_t op) {
     tail.clear();
   }
   tail.push_back(UpdateRec{p.x, p.y, p.id, op, next_seq_++});
-  PC_RETURN_IF_ERROR(WriteBufferPage(dev_, buffer_pages_.back(), tail));
+  PC_RETURN_IF_ERROR(WriteUpdateBuffer(dev_, buffer_pages_.back(), tail));
   ++buffer_count_;
   live_count_ += (op == 0) ? 1 : -1;
 
@@ -84,7 +56,7 @@ Status DynamicThreeSidedPst::Update(const Point& p, uint32_t op) {
 
 Status DynamicThreeSidedPst::ReadPending(std::vector<UpdateRec>* out) const {
   for (PageId page : buffer_pages_) {
-    PC_RETURN_IF_ERROR(ReadBufferPage(dev_, page, out));
+    PC_RETURN_IF_ERROR(ReadBlockPage(dev_, page, out));
   }
   return Status::OK();
 }
@@ -121,7 +93,7 @@ Status DynamicThreeSidedPst::Rebuild() {
     buffer_pages_.pop_back();
   }
   buffer_count_ = 0;
-  return WriteBufferPage(dev_, buffer_pages_.back(), {});
+  return WriteUpdateBuffer(dev_, buffer_pages_.back(), {});
 }
 
 Status DynamicThreeSidedPst::QueryThreeSided(const ThreeSidedQuery& q,

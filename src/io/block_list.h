@@ -146,6 +146,22 @@ void AppendBlockRecords(const std::byte* page, const BlockPageHeader& hdr,
               hdr.count * sizeof(T));
 }
 
+/// Reads one block page and appends its validated records to `out`;
+/// `next`, when non-null, receives the page's chain pointer.
+template <typename T>
+Status ReadBlockPage(PageDevice* dev, PageId page, std::vector<T>* out,
+                     PageId* next = nullptr) {
+  std::vector<std::byte> buf(dev->page_size());
+  PC_RETURN_IF_ERROR(dev->Read(page, buf.data()));
+  BlockPageHeader hdr;
+  std::memcpy(&hdr, buf.data(), sizeof(hdr));
+  PC_RETURN_IF_ERROR(
+      CheckBlockPageHeader(hdr, RecordsPerPage<T>(dev->page_size())));
+  AppendBlockRecords(buf.data(), hdr, out);
+  if (next != nullptr) *next = hdr.next;
+  return Status::OK();
+}
+
 /// Collects the page ids of a chain starting at `head` by following the
 /// `next` pointers.  One read per page; used by layout passes that need a
 /// chain's directory without a persisted one.
@@ -261,13 +277,10 @@ class BlockPageView {
 ///    consume (e.g. a tail-key-computed prefix of a cache list) and the
 ///    cursor batches through them window pages at a time.
 ///
-/// Multi-page fetches are pipelined: the cursor submits each batch through
-/// the device's async engine (AsyncBatchReader) and only awaits it when the
-/// caller asks for the batch's first page, so on an async-capable device the
-/// transfer lands underneath the caller's in-page compute.  In directory
-/// mode the NEXT window is submitted as soon as the current one is awaited.
-/// Devices without an async engine degrade to the blocking ReadBatch at
-/// submit time — same pages, same counted reads, no overlap.
+/// Multi-page fetches are one blocking ReadBatch each, issued when the
+/// cursor first needs a page of the batch (chain mode: right after the page
+/// that names the run), so a FilePageDevice underneath coalesces each run
+/// into one preadv.
 template <typename T>
 class BlockListCursor {
  public:
@@ -296,12 +309,8 @@ class BlockListCursor {
   }
 
   bool done() const {
-    if (!dir_.empty()) {
-      return dir_pos_ >= dir_.size() && !pending_ready_ &&
-             batch_pos_ >= batch_cnt_;
-    }
-    return batch_pos_ >= batch_cnt_ && !pending_ready_ &&
-           next_ == kInvalidPageId;
+    if (batch_pos_ < batch_cnt_) return false;
+    return dir_.empty() ? next_ == kInvalidPageId : dir_pos_ >= dir_.size();
   }
 
   /// Advances to the next page, validates its header and appends its
@@ -312,25 +321,17 @@ class BlockListCursor {
     // legitimately visit more pages than the device holds.
     if (dir_.empty()) {
       PC_RETURN_IF_ERROR(CheckChainStep(blocks_read_, dev_->live_pages()));
+    } else if (batch_pos_ >= batch_cnt_) {
+      const size_t n = std::min<size_t>(readahead_, dir_.size() - dir_pos_);
+      PC_RETURN_IF_ERROR(
+          FetchBatch(std::span<const PageId>(dir_.data() + dir_pos_, n)));
+      dir_pos_ += n;
     }
     const std::byte* page = nullptr;
     const uint32_t psz = dev_->page_size();
     if (batch_pos_ < batch_cnt_) {
       page = batch_buf_.data() + static_cast<size_t>(batch_pos_) * psz;
       ++batch_pos_;
-    } else if (pending_ready_) {
-      PC_RETURN_IF_ERROR(PromotePending());
-      page = batch_buf_.data();
-      batch_pos_ = 1;
-      if (!dir_.empty()) PC_RETURN_IF_ERROR(SubmitNextDirWindow());
-    } else if (!dir_.empty()) {
-      const size_t n = std::min<size_t>(readahead_, dir_.size() - dir_pos_);
-      PC_RETURN_IF_ERROR(
-          FetchBatch(std::span<const PageId>(dir_.data() + dir_pos_, n)));
-      dir_pos_ += n;
-      page = batch_buf_.data();
-      batch_pos_ = 1;
-      PC_RETURN_IF_ERROR(SubmitNextDirWindow());
     } else {
       PC_RETURN_IF_ERROR(dev_->Read(next_, buf_.data()));
       page = buf_.data();
@@ -341,8 +342,7 @@ class BlockListCursor {
           const uint32_t n = std::min(hdr.contig, readahead_ - 1);
           run_ids_.resize(n);
           for (uint32_t k = 0; k < n; ++k) run_ids_[k] = next_ + 1 + k;
-          // The run lands while the caller works on the page in buf_.
-          PC_RETURN_IF_ERROR(SubmitPending(run_ids_));
+          PC_RETURN_IF_ERROR(FetchBatch(run_ids_));
         }
       }
     }
@@ -358,10 +358,9 @@ class BlockListCursor {
   uint64_t blocks_read() const { return blocks_read_; }
 
  private:
-  // Blocking fetch into the serving buffer (first directory window, or a
-  // single page).  A single page gains nothing from the batch path; keep
-  // the device's batch_reads counter meaningful (one tick == one
-  // multi-page batch).
+  // Fills the batch buffer with `ids`.  A single page gains nothing from
+  // the batch path; keep the device's batch_reads counter meaningful (one
+  // tick == one multi-page batch).
   Status FetchBatch(std::span<const PageId> ids) {
     batch_buf_.resize(ids.size() * static_cast<size_t>(dev_->page_size()));
     if (ids.size() == 1) {
@@ -374,41 +373,6 @@ class BlockListCursor {
     return Status::OK();
   }
 
-  // Starts filling the pending buffer with `ids` (async when the device
-  // supports it).  Single pages stay on the Read path for counter parity.
-  Status SubmitPending(std::span<const PageId> ids) {
-    pending_buf_.resize(ids.size() * static_cast<size_t>(dev_->page_size()));
-    if (ids.size() == 1) {
-      PC_RETURN_IF_ERROR(dev_->Read(ids[0], pending_buf_.data()));
-    } else {
-      PC_RETURN_IF_ERROR(async_.Start(dev_, ids, pending_buf_.data()));
-    }
-    pending_cnt_ = ids.size();
-    pending_ready_ = true;
-    return Status::OK();
-  }
-
-  // Awaits the pending batch and makes it the serving batch.
-  Status PromotePending() {
-    PC_RETURN_IF_ERROR(async_.Wait());
-    batch_buf_.swap(pending_buf_);
-    batch_pos_ = 0;
-    batch_cnt_ = pending_cnt_;
-    pending_cnt_ = 0;
-    pending_ready_ = false;
-    return Status::OK();
-  }
-
-  // Directory mode: pipeline the next window while the current one serves.
-  Status SubmitNextDirWindow() {
-    if (dir_pos_ >= dir_.size()) return Status::OK();
-    const size_t n = std::min<size_t>(readahead_, dir_.size() - dir_pos_);
-    PC_RETURN_IF_ERROR(
-        SubmitPending(std::span<const PageId>(dir_.data() + dir_pos_, n)));
-    dir_pos_ += n;
-    return Status::OK();
-  }
-
   PageDevice* dev_;
   PageId next_;
   std::vector<std::byte> buf_;
@@ -418,11 +382,7 @@ class BlockListCursor {
   std::vector<std::byte> batch_buf_;
   size_t batch_pos_ = 0;
   size_t batch_cnt_ = 0;
-  std::vector<std::byte> pending_buf_;  // in-flight double buffer
-  size_t pending_cnt_ = 0;
-  bool pending_ready_ = false;
   std::vector<PageId> run_ids_;
-  AsyncBatchReader async_;
   uint64_t blocks_read_ = 0;
 };
 

@@ -111,44 +111,6 @@ Status ChecksumPageDevice::ReadBatch(std::span<const PageId> ids,
   return Status::OK();
 }
 
-Result<uint64_t> ChecksumPageDevice::SubmitBatch(std::span<const PageId> ids,
-                                                 std::byte* bufs) {
-  if (async_batches_.size() >= kMaxInflightBatches) {
-    return Status::InvalidArgument("too many in-flight batches");
-  }
-  AsyncBatch b;
-  b.ids.assign(ids.begin(), ids.end());
-  b.staging.resize(ids.size() * size_t{inner_->page_size()});
-  b.bufs = bufs;
-  // Propagates the inner NotSupported verbatim: a checksum layer over a
-  // sync-only device is itself sync-only.
-  PC_ASSIGN_OR_RETURN(b.inner_ticket,
-                      inner_->SubmitBatch(b.ids, b.staging.data()));
-  const uint64_t ticket = next_async_ticket_++;
-  async_batches_.emplace(ticket, std::move(b));
-  return ticket;
-}
-
-Status ChecksumPageDevice::AwaitBatch(uint64_t ticket) {
-  auto it = async_batches_.find(ticket);
-  if (it == async_batches_.end()) {
-    return Status::InvalidArgument("unknown async batch ticket");
-  }
-  AsyncBatch b = std::move(it->second);
-  async_batches_.erase(it);
-  PC_RETURN_IF_ERROR(inner_->AwaitBatch(b.inner_ticket));
-  if (b.ids.empty()) return Status::OK();
-  stats_.reads += b.ids.size();
-  ++stats_.batch_reads;
-  const uint32_t phys = inner_->page_size();
-  for (size_t i = 0; i < b.ids.size(); ++i) {
-    const std::byte* p = b.staging.data() + i * phys;
-    PC_RETURN_IF_ERROR(Verify(b.ids[i], p));
-    std::memcpy(b.bufs + i * payload_size_, p, payload_size_);
-  }
-  return Status::OK();
-}
-
 Status ChecksumPageDevice::Write(PageId id, const std::byte* buf) {
   std::memcpy(scratch_.data(), buf, payload_size_);
   Trailer t{kPageTrailerMagic, PageCrc(buf, payload_size_, id)};

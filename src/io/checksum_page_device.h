@@ -26,7 +26,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "io/page_device.h"
@@ -69,14 +68,6 @@ class ChecksumPageDevice final : public PageDevice {
   Status Read(PageId id, std::byte* buf) override;
   Status ReadBatch(std::span<const PageId> ids, std::byte* bufs) override;
 
-  /// Async ReadBatch: the physical pages stream into a staging buffer via
-  /// the inner device's SubmitBatch; verification and the payload copy-out
-  /// happen at AwaitBatch, after the transfer lands.  Counting and error
-  /// mapping match ReadBatch on the same ids.
-  Result<uint64_t> SubmitBatch(std::span<const PageId> ids,
-                               std::byte* bufs) override;
-  Status AwaitBatch(uint64_t ticket) override;
-
   Status Write(PageId id, const std::byte* buf) override;
   /// Pins the inner frame, verifies it, and returns a pointer to its payload
   /// prefix (page_size() bytes).  Verification happens on every Pin — cache
@@ -106,17 +97,6 @@ class ChecksumPageDevice final : public PageDevice {
   std::atomic<uint64_t> pages_verified_{0};
   std::atomic<uint64_t> checksum_failures_{0};
   std::vector<std::byte> scratch_;  // one physical page, reused across ops
-
-  // One outstanding SubmitBatch: physical staging plus where the verified
-  // payloads go at AwaitBatch.
-  struct AsyncBatch {
-    uint64_t inner_ticket = 0;
-    std::vector<PageId> ids;
-    std::vector<std::byte> staging;
-    std::byte* bufs = nullptr;
-  };
-  std::map<uint64_t, AsyncBatch> async_batches_;
-  uint64_t next_async_ticket_ = 1;
 };
 
 }  // namespace pathcache

@@ -17,8 +17,6 @@
 #ifndef PATHCACHE_IO_COUNTING_PAGE_DEVICE_H_
 #define PATHCACHE_IO_COUNTING_PAGE_DEVICE_H_
 
-#include <map>
-
 #include "io/page_device.h"
 
 namespace pathcache {
@@ -50,29 +48,6 @@ class CountingPageDevice final : public PageDevice {
     stats_.reads += ids.size();
     if (!ids.empty()) ++stats_.batch_reads;
     return inner_->ReadBatch(ids, bufs);
-  }
-
-  // The async pair forwards the inner ticket unchanged; the per-thread
-  // counters move at AwaitBatch (when the read cost is actually paid), with
-  // the same totals ReadBatch would record.
-  Result<uint64_t> SubmitBatch(std::span<const PageId> ids,
-                               std::byte* bufs) override {
-    Result<uint64_t> t = inner_->SubmitBatch(ids, bufs);
-    if (t.ok()) async_sizes_[t.value()] = ids.size();
-    return t;
-  }
-
-  Status AwaitBatch(uint64_t ticket) override {
-    Status s = inner_->AwaitBatch(ticket);
-    auto it = async_sizes_.find(ticket);
-    if (it != async_sizes_.end()) {
-      // Unconditional, mirroring ReadBatch (which counts before delegating):
-      // a failed batch still counts the pages it attempted.
-      stats_.reads += it->second;
-      if (it->second > 0) ++stats_.batch_reads;
-      async_sizes_.erase(it);
-    }
-    return s;
   }
 
   Status Write(PageId id, const std::byte* buf) override {
@@ -107,7 +82,6 @@ class CountingPageDevice final : public PageDevice {
  private:
   PageDevice* inner_;
   IoStats stats_;
-  std::map<uint64_t, size_t> async_sizes_;  // inner ticket -> batch size
 };
 
 }  // namespace pathcache

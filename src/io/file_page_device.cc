@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <numeric>
@@ -97,46 +96,10 @@ Status PreadvFully(int fd, struct iovec* iov, size_t iovcnt, off_t off,
   return Status::OK();
 }
 
-// io_uring is the default transport wherever the kernel offers it; the env
-// switch exists so CI can force the preadv fallback through the full suite.
-bool UringDisabledByEnv() {
-  const char* v = std::getenv("PATHCACHE_DISABLE_IOURING");
-  return v != nullptr && v[0] != '\0' && v[0] != '0';
-}
-
 }  // namespace
 
 FilePageDevice::FilePageDevice(int fd, uint32_t page_size)
-    : fd_(fd), page_size_(page_size) {
-  if (!UringDisabledByEnv() && UringReader::SystemSupported()) {
-    backend_ = ReadBackend::kIoUring;
-  }
-}
-
-Status FilePageDevice::SetReadBackend(ReadBackend backend) {
-  if (backend == ReadBackend::kIoUring) {
-    if (uring_failed_ || !UringReader::SystemSupported()) {
-      return Status::NotSupported("io_uring is unavailable on this system");
-    }
-  }
-  backend_ = backend;
-  return Status::OK();
-}
-
-bool FilePageDevice::EnsureUring() {
-  if (uring_ != nullptr) return true;
-  if (uring_failed_) return false;
-  auto ring = UringReader::Create();
-  if (!ring.ok()) {
-    // The setup probe passed but ring creation failed (e.g. a locked-memory
-    // limit): run on preadv from here on rather than failing reads.
-    uring_failed_ = true;
-    backend_ = ReadBackend::kPreadv;
-    return false;
-  }
-  uring_ = std::move(ring).value();
-  return true;
-}
+    : fd_(fd), page_size_(page_size) {}
 
 Result<std::unique_ptr<FilePageDevice>> FilePageDevice::Create(
     const std::string& path, uint32_t page_size) {
@@ -286,8 +249,8 @@ Status FilePageDevice::ReadBatch(std::span<const PageId> ids,
     return already_sorted ? k : order[k];
   };
 
-  // Split the batch into runs of disk-adjacent pages.
-  std::vector<std::pair<size_t, size_t>> run_bounds;  // [begin, end) in slots
+  // One preadv per run of disk-adjacent pages.
+  std::vector<struct iovec> iov;
   size_t i = 0;
   while (i < ids.size()) {
     size_t j = i + 1;
@@ -295,127 +258,17 @@ Status FilePageDevice::ReadBatch(std::span<const PageId> ids,
            ids[slot(j)] == ids[slot(j - 1)] + 1) {
       ++j;
     }
-    run_bounds.emplace_back(i, j);
+    iov.clear();
+    for (size_t k = i; k < j; ++k) {
+      iov.push_back({bufs + slot(k) * page_size_, page_size_});
+    }
+    PC_RETURN_IF_ERROR(PreadvFully(
+        fd_, iov.data(), iov.size(),
+        static_cast<off_t>(ids[slot(i)]) * page_size_, &read_syscalls_));
     i = j;
-  }
-
-  // A batch with several runs is where async submission pays: every run
-  // goes to the kernel in one io_uring_enter instead of one blocking preadv
-  // each.  Single-run batches stay on preadv — one syscall either way.
-  if (backend_ == ReadBackend::kIoUring && run_bounds.size() >= 2 &&
-      EnsureUring()) {
-    std::vector<struct iovec> all_iov;
-    all_iov.reserve(ids.size());
-    for (size_t k = 0; k < ids.size(); ++k) {
-      all_iov.push_back({bufs + slot(k) * page_size_, page_size_});
-    }
-    std::vector<UringReader::Run> runs;
-    runs.reserve(run_bounds.size());
-    for (const auto& [begin, end] : run_bounds) {
-      runs.push_back({static_cast<off_t>(ids[slot(begin)]) * page_size_,
-                      all_iov.data() + begin, end - begin});
-    }
-    PC_RETURN_IF_ERROR(uring_->ReadRuns(fd_, runs, &read_syscalls_));
-    ++uring_batches_;
-  } else {
-    std::vector<struct iovec> iov;
-    for (const auto& [begin, end] : run_bounds) {
-      iov.clear();
-      for (size_t k = begin; k < end; ++k) {
-        iov.push_back({bufs + slot(k) * page_size_, page_size_});
-      }
-      PC_RETURN_IF_ERROR(PreadvFully(
-          fd_, iov.data(), iov.size(),
-          static_cast<off_t>(ids[slot(begin)]) * page_size_,
-          &read_syscalls_));
-    }
   }
   stats_.reads += ids.size();
   ++stats_.batch_reads;
-  return Status::OK();
-}
-
-Result<uint64_t> FilePageDevice::SubmitBatch(std::span<const PageId> ids,
-                                             std::byte* bufs) {
-  // The async split only exists on the ring transport; preadv has no way to
-  // start a read without finishing it.  NotSupported routes callers to the
-  // blocking ReadBatch fallback.
-  if (backend_ != ReadBackend::kIoUring || !EnsureUring()) {
-    return Status::NotSupported("async batches need the io_uring backend");
-  }
-  if (inflight_.size() >= kMaxInflightBatches) {
-    return Status::InvalidArgument("too many in-flight batches");
-  }
-  for (PageId id : ids) PC_RETURN_IF_ERROR(CheckId(id));
-
-  const uint64_t ticket = next_ticket_++;
-  if (ids.empty()) {
-    inflight_.emplace(ticket, InflightBatch{0, 0, false});
-    return ticket;
-  }
-
-  // Identical ordering/coalescing to ReadBatch, so the op counts (and the
-  // bytes each run moves) match the synchronous path exactly.
-  const bool already_sorted = std::is_sorted(ids.begin(), ids.end());
-  std::vector<uint32_t> order;
-  if (already_sorted) {
-    ++sorted_batches_;
-  } else {
-    order.resize(ids.size());
-    std::iota(order.begin(), order.end(), 0u);
-    std::sort(order.begin(), order.end(),
-              [&ids](uint32_t a, uint32_t b) { return ids[a] < ids[b]; });
-  }
-  auto slot = [&](size_t k) -> size_t {
-    return already_sorted ? k : order[k];
-  };
-
-  std::vector<std::pair<size_t, size_t>> run_bounds;  // [begin, end) in slots
-  size_t i = 0;
-  while (i < ids.size()) {
-    size_t j = i + 1;
-    while (j < ids.size() && j - i < kMaxCoalescedPages &&
-           ids[slot(j)] == ids[slot(j - 1)] + 1) {
-      ++j;
-    }
-    run_bounds.emplace_back(i, j);
-    i = j;
-  }
-
-  // The iovecs move into the ring (BeginBatch contract): short-completion
-  // adjustment must never race a caller-owned vector.  `bufs` itself stays
-  // caller-owned until AwaitBatch.
-  std::vector<struct iovec> all_iov;
-  all_iov.reserve(ids.size());
-  for (size_t k = 0; k < ids.size(); ++k) {
-    all_iov.push_back({bufs + slot(k) * page_size_, page_size_});
-  }
-  std::vector<UringReader::Run> runs;
-  runs.reserve(run_bounds.size());
-  for (const auto& [begin, end] : run_bounds) {
-    runs.push_back({static_cast<off_t>(ids[slot(begin)]) * page_size_,
-                    all_iov.data() + begin, end - begin});
-  }
-  Result<uint64_t> token = uring_->BeginBatch(fd_, std::move(all_iov),
-                                              std::move(runs),
-                                              &read_syscalls_);
-  if (!token.ok()) return token.status();
-  inflight_.emplace(ticket, InflightBatch{token.value(), ids.size(), true});
-  return ticket;
-}
-
-Status FilePageDevice::AwaitBatch(uint64_t ticket) {
-  auto it = inflight_.find(ticket);
-  if (it == inflight_.end()) {
-    return Status::InvalidArgument("unknown async batch ticket");
-  }
-  const InflightBatch b = it->second;
-  inflight_.erase(it);
-  if (!b.submitted) return Status::OK();  // the empty batch
-  PC_RETURN_IF_ERROR(uring_->WaitBatch(b.token));
-  stats_.reads += b.n;
-  ++stats_.batch_reads;
-  ++uring_batches_;
   return Status::OK();
 }
 

@@ -9,33 +9,24 @@
 // k pages typically costs far fewer than k transfer operations;
 // `read_syscalls()` exposes the actual count for the coalescing benchmarks.
 //
-// Two read backends serve the coalesced runs:
-//
-//  * kPreadv — one blocking preadv per run (the portable baseline).
-//  * kIoUring — every run of a multi-run batch is submitted to an io_uring
-//    in one io_uring_enter, letting the kernel service the runs
-//    concurrently.  Probed at runtime; the device silently uses preadv when
-//    the kernel refuses a ring or PATHCACHE_DISABLE_IOURING is set in the
-//    environment.  Bytes delivered, IoStats, read_syscalls() and error
-//    mapping are identical between backends (tests/uring_test.cpp) — the
-//    backend is a transport choice, never a semantic one, so the paper's
-//    one-unit-per-page cost model is unaffected.
+// Every coalesced run is one blocking preadv.  The transport decides only
+// wall-clock: the paper's one-unit-per-page cost model is counted in
+// IoStats, identically for Read and ReadBatch.
 
 #ifndef PATHCACHE_IO_FILE_PAGE_DEVICE_H_
 #define PATHCACHE_IO_FILE_PAGE_DEVICE_H_
 
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "io/page_device.h"
-#include "io/uring_reader.h"
 
 namespace pathcache {
 
 class FilePageDevice final : public PageDevice {
  public:
+  /// Kept for perfbench's compile surface only; preadv is the one backend.
   enum class ReadBackend { kPreadv, kIoUring };
 
   /// Opens (creating or truncating) `path` as the backing store.
@@ -69,18 +60,6 @@ class FilePageDevice final : public PageDevice {
   Status Read(PageId id, std::byte* buf) override;
   Status ReadBatch(std::span<const PageId> ids, std::byte* bufs) override;
 
-  /// Truly-async ReadBatch: SubmitBatch coalesces exactly like ReadBatch and
-  /// hands every run to the io_uring WITHOUT waiting, so the kernel reads
-  /// under the caller's compute; AwaitBatch blocks until the batch landed.
-  /// Returns NotSupported when the io_uring backend is unavailable (callers
-  /// fall back to ReadBatch via AsyncBatchReader).  IoStats land at
-  /// AwaitBatch with totals identical to ReadBatch on the same ids;
-  /// read_syscalls() counts submitted ring ops as it does for the
-  /// synchronous uring path.
-  Result<uint64_t> SubmitBatch(std::span<const PageId> ids,
-                               std::byte* bufs) override;
-  Status AwaitBatch(uint64_t ticket) override;
-
   Status Write(PageId id, const std::byte* buf) override;
   /// fdatasync on the backing file — the durability barrier the WAL and
   /// manifest-publish protocols ack against.
@@ -91,7 +70,6 @@ class FilePageDevice final : public PageDevice {
     stats_ = IoStats{};
     read_syscalls_ = 0;
     sorted_batches_ = 0;
-    uring_batches_ = 0;
   }
   uint64_t live_pages() const override { return live_; }
 
@@ -104,25 +82,13 @@ class FilePageDevice final : public PageDevice {
   /// sort-free fast path.  Clustered structures make this the common case.
   uint64_t sorted_batches() const { return sorted_batches_; }
 
-  /// Selects the ReadBatch transport.  Requesting kIoUring on a kernel
-  /// without io_uring returns NotSupported and leaves preadv active; the
-  /// constructor default is kIoUring where supported unless
-  /// PATHCACHE_DISABLE_IOURING is set.
-  Status SetReadBackend(ReadBackend backend);
-
-  /// The backend multi-run batches actually use right now.
-  ReadBackend read_backend() const { return backend_; }
-
-  /// ReadBatch calls whose runs went through the io_uring backend.
-  uint64_t uring_batches() const { return uring_batches_; }
+  /// Kept for perfbench's compile surface only; always kPreadv.
+  ReadBackend read_backend() const { return ReadBackend::kPreadv; }
 
  private:
   FilePageDevice(int fd, uint32_t page_size);
 
   Status CheckId(PageId id) const;
-
-  /// Lazily builds the ring; on failure flips the device to preadv for good.
-  bool EnsureUring();
 
   int fd_;
   uint32_t page_size_;
@@ -133,21 +99,6 @@ class FilePageDevice final : public PageDevice {
   IoStats stats_;
   uint64_t read_syscalls_ = 0;
   uint64_t sorted_batches_ = 0;
-  uint64_t uring_batches_ = 0;
-  ReadBackend backend_ = ReadBackend::kPreadv;
-  std::unique_ptr<UringReader> uring_;
-  bool uring_failed_ = false;
-
-  // One outstanding SubmitBatch.  `token` is the ring's handle; `n` defers
-  // the IoStats bump to AwaitBatch; `submitted` is false for the empty
-  // batch, which never touches the ring.
-  struct InflightBatch {
-    uint64_t token = 0;
-    size_t n = 0;
-    bool submitted = false;
-  };
-  std::map<uint64_t, InflightBatch> inflight_;
-  uint64_t next_ticket_ = 1;
 };
 
 }  // namespace pathcache

@@ -48,31 +48,15 @@ class PageDevice {
     return Status::OK();
   }
 
-  /// Asynchronous ReadBatch, split into submit and await so the transfer
-  /// can complete under the caller's compute.  SubmitBatch() starts reading
-  /// `ids` into `bufs` (same placement contract as ReadBatch) and returns a
-  /// ticket; `ids` may be discarded after the call returns but `bufs` must
-  /// stay alive and untouched until the matching AwaitBatch(ticket), which
-  /// blocks until every page has landed and returns the batch's status.
-  ///
-  /// Counting happens at AwaitBatch, with totals identical to the same ids
-  /// through ReadBatch — splitting the call is a transport optimization,
-  /// never a cost-model one.  Error semantics are also identical: on a
-  /// failed await the contents of `bufs` are unspecified.  Devices without
-  /// an async engine return NotSupported from SubmitBatch and callers fall
-  /// back to the blocking ReadBatch — AsyncBatchReader (below) packages
-  /// that fallback.  At most kMaxInflightBatches tickets may be outstanding
-  /// per device; every successful SubmitBatch MUST be awaited exactly once.
+  /// Kept for perfbench's compile surface only; src/ never overrides it.
   virtual Result<uint64_t> SubmitBatch(std::span<const PageId> /*ids*/,
                                        std::byte* /*bufs*/) {
     return Status::NotSupported("device has no async read engine");
   }
+  /// Kept for perfbench's compile surface only; src/ never overrides it.
   virtual Status AwaitBatch(uint64_t /*ticket*/) {
     return Status::NotSupported("device has no async read engine");
   }
-
-  /// Ceiling on concurrently outstanding SubmitBatch tickets per device.
-  static constexpr uint32_t kMaxInflightBatches = 64;
 
   /// Overwrites the page from `buf`, which must hold page_size() bytes.
   virtual Status Write(PageId id, const std::byte* buf) = 0;
@@ -199,60 +183,6 @@ class PagePin {
   const std::byte* data_ = nullptr;
   PageDevice* no_pin_dev_ = nullptr;  // last device that said NotSupported
   std::vector<std::byte> fallback_;   // kept across Loads to reuse capacity
-};
-
-/// RAII wrapper for one in-flight SubmitBatch/AwaitBatch pair with a
-/// blocking fallback: Start() submits when the device has an async engine
-/// and otherwise runs the plain ReadBatch immediately, so callers write one
-/// overlap-friendly code path and devices without rings stay correct with
-/// identical counted I/O.  Wait() is idempotent; an un-waited in-flight
-/// batch is awaited (status dropped) on destruction so `bufs` can never be
-/// released while a transfer is landing into it.
-class AsyncBatchReader {
- public:
-  AsyncBatchReader() = default;
-  ~AsyncBatchReader() { (void)Wait(); }
-  AsyncBatchReader(const AsyncBatchReader&) = delete;
-  AsyncBatchReader& operator=(const AsyncBatchReader&) = delete;
-
-  /// Begins reading `ids` into `bufs` (ReadBatch placement).  At most one
-  /// batch per reader may be outstanding; Wait() first when reusing.
-  /// After a successful Start, `bufs` must stay alive until Wait() returns.
-  Status Start(PageDevice* dev, std::span<const PageId> ids,
-               std::byte* bufs) {
-    PC_RETURN_IF_ERROR(Wait());
-    // Remember a NotSupported verdict per device so steady-state batches on
-    // a sync-only device skip straight to the ReadBatch fallback.
-    if (dev != no_async_dev_) {
-      Result<uint64_t> t = dev->SubmitBatch(ids, bufs);
-      if (t.ok()) {
-        dev_ = dev;
-        ticket_ = t.value();
-        in_flight_ = true;
-        return Status::OK();
-      }
-      if (t.status().code() != StatusCode::kNotSupported) {
-        return t.status();
-      }
-      no_async_dev_ = dev;
-    }
-    return dev->ReadBatch(ids, bufs);
-  }
-
-  /// Blocks until the in-flight batch (if any) has fully landed.
-  Status Wait() {
-    if (!in_flight_) return Status::OK();
-    in_flight_ = false;
-    return dev_->AwaitBatch(ticket_);
-  }
-
-  bool in_flight() const { return in_flight_; }
-
- private:
-  PageDevice* dev_ = nullptr;
-  uint64_t ticket_ = 0;
-  bool in_flight_ = false;
-  PageDevice* no_async_dev_ = nullptr;  // last device that said NotSupported
 };
 
 }  // namespace pathcache

@@ -201,107 +201,6 @@ Status SharedBufferPool::ReadBatch(std::span<const PageId> ids,
   return Status::OK();
 }
 
-Result<uint64_t> SharedBufferPool::SubmitBatch(std::span<const PageId> ids,
-                                               std::byte* bufs) {
-  // Both refusals come BEFORE any shard counter moves, so the caller's
-  // ReadBatch fallback counts the batch exactly once.
-  {
-    std::lock_guard<std::mutex> alk(async_mu_);
-    if (inner_async_unsupported_) {
-      return Status::NotSupported("inner device has no async read engine");
-    }
-    if (async_batches_.size() >= kMaxInflightBatches) {
-      return Status::InvalidArgument("too many in-flight batches");
-    }
-  }
-  {
-    std::vector<PageId> sorted(ids.begin(), ids.end());
-    std::sort(sorted.begin(), sorted.end());
-    if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end()) {
-      return Status::NotSupported("async batches require distinct ids");
-    }
-  }
-
-  // Same per-page probe as ReadBatch: hits are copied (and counted) now —
-  // they need no I/O to overlap — misses queue for the inner device.
-  AsyncBatch b;
-  b.bufs = bufs;
-  for (size_t i = 0; i < ids.size(); ++i) {
-    PageId id = ids[i];
-    Shard& s = ShardFor(id);
-    std::lock_guard<std::mutex> slk(s.mu);
-    ++s.stats.reads;
-    auto it = s.frames.find(id);
-    if (it != s.frames.end()) {
-      ++s.hits;
-      Touch(s, it->second, id);
-      std::memcpy(bufs + i * page_size_, it->second.data.get(), page_size_);
-    } else {
-      ++s.misses;
-      b.miss_slots.push_back(i);
-    }
-  }
-
-  if (!b.miss_slots.empty()) {
-    b.miss_ids.resize(b.miss_slots.size());
-    for (size_t k = 0; k < b.miss_slots.size(); ++k) {
-      b.miss_ids[k] = ids[b.miss_slots[k]];
-    }
-    b.fetched.resize(b.miss_ids.size() * page_size_);
-    std::lock_guard<std::mutex> ilk(inner_mu_);
-    Result<uint64_t> t = inner_->SubmitBatch(b.miss_ids, b.fetched.data());
-    if (t.ok()) {
-      b.inner_ticket = t.value();
-      b.inner_async = true;
-    } else if (t.status().code() == StatusCode::kNotSupported) {
-      // Discovered mid-batch: the shard counters have already moved, so
-      // finish THIS batch with a blocking read (counting is identical) and
-      // memoize so future submits refuse before counting.
-      {
-        std::lock_guard<std::mutex> alk(async_mu_);
-        inner_async_unsupported_ = true;
-      }
-      PC_RETURN_IF_ERROR(inner_->ReadBatch(b.miss_ids, b.fetched.data()));
-    } else {
-      return t.status();
-    }
-  }
-
-  std::lock_guard<std::mutex> alk(async_mu_);
-  const uint64_t ticket = next_async_ticket_++;
-  async_batches_.emplace(ticket, std::move(b));
-  return ticket;
-}
-
-Status SharedBufferPool::AwaitBatch(uint64_t ticket) {
-  AsyncBatch b;
-  {
-    std::lock_guard<std::mutex> alk(async_mu_);
-    auto it = async_batches_.find(ticket);
-    if (it == async_batches_.end()) {
-      return Status::InvalidArgument("unknown async batch ticket");
-    }
-    b = std::move(it->second);
-    async_batches_.erase(it);
-  }
-  if (b.inner_async) {
-    std::lock_guard<std::mutex> ilk(inner_mu_);
-    PC_RETURN_IF_ERROR(inner_->AwaitBatch(b.inner_ticket));
-  }
-  for (size_t k = 0; k < b.miss_slots.size(); ++k) {
-    const std::byte* page = b.fetched.data() + k * page_size_;
-    std::memcpy(b.bufs + b.miss_slots[k] * page_size_, page, page_size_);
-    Shard& s = ShardFor(b.miss_ids[k]);
-    std::lock_guard<std::mutex> slk(s.mu);
-    // Another thread may have inserted the page while it was in flight;
-    // keep the existing frame, the contents are identical (read-only use).
-    if (s.frames.find(b.miss_ids[k]) == s.frames.end()) {
-      InsertFrame(s, b.miss_ids[k], page);
-    }
-  }
-  return Status::OK();
-}
-
 Status SharedBufferPool::Sync() {
   Shard& s = ShardFor(0);
   std::lock_guard<std::mutex> slk(s.mu);

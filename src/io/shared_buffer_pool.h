@@ -19,7 +19,6 @@
 #define PATHCACHE_IO_SHARED_BUFFER_POOL_H_
 
 #include <list>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -43,17 +42,6 @@ class SharedBufferPool final : public PageDevice {
   Status Free(PageId id) override;
   Status Read(PageId id, std::byte* buf) override;
   Status ReadBatch(std::span<const PageId> ids, std::byte* bufs) override;
-
-  /// Async ReadBatch: hits are copied (and counted) at submit; misses go to
-  /// the inner device's own SubmitBatch so the physical reads land under the
-  /// caller's compute, then AwaitBatch copies them out and admits them to
-  /// the cache.  Counting is identical to ReadBatch on the same ids.
-  /// Batches with duplicate ids return NotSupported before touching any
-  /// counter (the ReadBatch fallback handles them), as does a pool whose
-  /// inner device has no async engine.
-  Result<uint64_t> SubmitBatch(std::span<const PageId> ids,
-                               std::byte* bufs) override;
-  Status AwaitBatch(uint64_t ticket) override;
 
   Status Write(PageId id, const std::byte* buf) override;
 
@@ -137,23 +125,6 @@ class SharedBufferPool final : public PageDevice {
   mutable std::mutex inner_mu_;  // serializes every inner_-> call
   mutable std::mutex snapshot_mu_;  // serializes stats_snapshot_ refreshes
   mutable IoStats stats_snapshot_;
-
-  // One outstanding SubmitBatch.  `inner_async` is false when the batch
-  // finished at submit time (all hits, or the inner device fell back to a
-  // blocking read); the staging buffer holds the missed pages until
-  // AwaitBatch copies them into the caller's slots.
-  struct AsyncBatch {
-    uint64_t inner_ticket = 0;
-    bool inner_async = false;
-    std::vector<size_t> miss_slots;
-    std::vector<PageId> miss_ids;
-    std::vector<std::byte> fetched;
-    std::byte* bufs = nullptr;
-  };
-  std::mutex async_mu_;  // guards the ticket map and the memo below
-  std::map<uint64_t, AsyncBatch> async_batches_;
-  uint64_t next_async_ticket_ = 1;
-  bool inner_async_unsupported_ = false;
 };
 
 }  // namespace pathcache

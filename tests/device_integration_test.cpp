@@ -8,7 +8,6 @@
 #include "io/checksum_page_device.h"
 #include "io/counting_page_device.h"
 #include "io/shared_buffer_pool.h"
-#include "io/uring_reader.h"
 #include "util/mathutil.h"
 #include "workload/generators.h"
 #include "workload/oracle.h"
@@ -118,32 +117,28 @@ TEST(DeviceIntegrationTest, StabbingOnRealFileWithPool) {
   }
 }
 
-TEST(DeviceIntegrationTest, AsyncBatchThroughFullDecoratorStack) {
+TEST(DeviceIntegrationTest, ReadBatchThroughFullDecoratorStack) {
   // File -> Checksum -> SharedBufferPool -> CountingPageDevice: the serving
-  // stack.  SubmitBatch/AwaitBatch through all four layers must deliver the
-  // same bytes and the same per-layer counts as ReadBatch on the same ids.
-  if (!UringReader::SystemSupported()) {
-    GTEST_SKIP() << "io_uring unavailable; the stack then reports "
-                    "NotSupported and AsyncBatchReader covers the fallback";
-  }
+  // stack.  ReadBatch through all four layers must deliver the written
+  // bytes and count one logical read per page at every layer.
   constexpr uint32_t kPhysPage = 512;
-  auto r = FilePageDevice::Create(::testing::TempDir() + "/pc_async_stack.db",
+  auto r = FilePageDevice::Create(::testing::TempDir() + "/pc_batch_stack.db",
                                   kPhysPage);
   ASSERT_TRUE(r.ok());
   auto file = std::move(r).value();
-  if (file->read_backend() != FilePageDevice::ReadBackend::kIoUring) {
-    GTEST_SKIP() << "uring backend disabled in this environment";
-  }
   ChecksumPageDevice check(file.get());
   const uint32_t payload = check.page_size();
 
+  auto fill = [payload](PageId id, std::byte* page) {
+    for (uint32_t j = 0; j < payload; ++j) {
+      page[j] = static_cast<std::byte>((id * 37u + j) & 0xFF);
+    }
+  };
   std::vector<PageId> ids;
   std::vector<std::byte> page(payload);
   for (int i = 0; i < 24; ++i) {
     PageId id = check.Allocate().value();
-    for (uint32_t j = 0; j < payload; ++j) {
-      page[j] = static_cast<std::byte>((id * 37u + j) & 0xFF);
-    }
+    fill(id, page.data());
     ASSERT_TRUE(check.Write(id, page.data()).ok());
     ids.push_back(id);
   }
@@ -151,36 +146,30 @@ TEST(DeviceIntegrationTest, AsyncBatchThroughFullDecoratorStack) {
   SharedBufferPool pool(&check, 8, 4);  // small: most of the batch misses
   CountingPageDevice counter(&pool);
   std::vector<PageId> batch{ids[0], ids[5], ids[6], ids[7], ids[20], ids[13]};
-
-  std::vector<std::byte> via_sync(batch.size() * payload);
-  ASSERT_TRUE(counter.ReadBatch(batch, via_sync.data()).ok());
-  const uint64_t sync_reads = counter.stats().reads;
-  const uint64_t sync_hits = pool.hits();
-  const uint64_t sync_misses = pool.misses();
-
-  pool.ClearAndResetStats();
-  counter.ResetStats();
-  std::vector<std::byte> via_async(batch.size() * payload, std::byte{0xEE});
-  auto t = counter.SubmitBatch(batch, via_async.data());
-  ASSERT_TRUE(t.ok()) << t.status().ToString();
-  ASSERT_TRUE(counter.AwaitBatch(t.value()).ok());
-
-  EXPECT_EQ(
-      std::memcmp(via_sync.data(), via_async.data(), via_sync.size()), 0);
-  EXPECT_EQ(counter.stats().reads, sync_reads);
-  EXPECT_EQ(counter.stats().batch_reads, 1u);
-  EXPECT_EQ(pool.hits(), sync_hits);
-  EXPECT_EQ(pool.misses(), sync_misses);
-
-  // Warm repeat: every page was admitted at await, so the async batch is
-  // all hits and completes at submit without touching the file.
+  std::vector<std::byte> got(batch.size() * payload);
   file->ResetStats();
-  auto t2 = counter.SubmitBatch(batch, via_async.data());
-  ASSERT_TRUE(t2.ok()) << t2.status().ToString();
-  ASSERT_TRUE(counter.AwaitBatch(t2.value()).ok());
+  ASSERT_TRUE(counter.ReadBatch(batch, got.data()).ok());
+  for (size_t k = 0; k < batch.size(); ++k) {
+    fill(batch[k], page.data());
+    EXPECT_EQ(std::memcmp(got.data() + k * payload, page.data(), payload), 0)
+        << "slot " << k;
+  }
+  EXPECT_EQ(counter.stats().reads, batch.size());
+  EXPECT_EQ(counter.stats().batch_reads, 1u);
+  EXPECT_EQ(pool.misses(), batch.size());
+  EXPECT_EQ(check.stats().reads, batch.size());
+  EXPECT_EQ(file->stats().reads, batch.size());
+  EXPECT_EQ(file->stats().batch_reads, 1u);
+  EXPECT_EQ(file->read_syscalls(), 4u);  // runs {0}, {5,6,7}, {13}, {20}
+
+  // Warm repeat: every page was admitted, so the batch is all hits and
+  // never touches the file.
+  file->ResetStats();
+  std::vector<std::byte> again(got.size());
+  ASSERT_TRUE(counter.ReadBatch(batch, again.data()).ok());
   EXPECT_EQ(file->stats().reads, 0u);
-  EXPECT_EQ(
-      std::memcmp(via_sync.data(), via_async.data(), via_sync.size()), 0);
+  EXPECT_EQ(pool.hits(), batch.size());
+  EXPECT_EQ(std::memcmp(got.data(), again.data(), got.size()), 0);
 }
 
 }  // namespace

@@ -67,6 +67,36 @@ TEST(FileRobustnessTest, ZeroLengthReadMidPageIsCorruption) {
   EXPECT_TRUE(dev->Read(0, buf.data()).ok());
 }
 
+TEST(FileRobustnessTest, TruncatedFileFailsReadBatchWithCorruption) {
+  const std::string path = TmpPath("pc_batch_trunc.db");
+  auto r = FilePageDevice::Create(path, 512);
+  ASSERT_TRUE(r.ok());
+  auto dev = std::move(r).value();
+  for (uint8_t p = 0; p < 10; ++p) {
+    ASSERT_TRUE(dev->Allocate().ok());
+    ASSERT_TRUE(dev->Write(p, Pattern(512, p).data()).ok());
+  }
+
+  // Cut the file while the device still believes all 10 pages exist; pages
+  // 6..9 are now beyond EOF and must surface as Corruption ("short read"),
+  // never as silently zero-filled buffers.
+  ASSERT_EQ(::truncate(path.c_str(), 6 * 512), 0);
+  std::vector<PageId> batch{0, 1, 5, 6, 8, 9};  // several runs, some past EOF
+  std::vector<std::byte> buf(batch.size() * 512);
+  Status s = dev->ReadBatch(batch, buf.data());
+  ASSERT_EQ(s.code(), StatusCode::kCorruption) << s.ToString();
+  EXPECT_NE(s.message().find("short read"), std::string_view::npos);
+
+  // The device stays usable: the healthy prefix reads clean afterwards.
+  std::vector<PageId> healthy{0, 2, 4};
+  std::vector<std::byte> ok_buf(healthy.size() * 512);
+  ASSERT_TRUE(dev->ReadBatch(healthy, ok_buf.data()).ok());
+  for (size_t k = 0; k < healthy.size(); ++k) {
+    auto want = Pattern(512, static_cast<uint8_t>(healthy[k]));
+    EXPECT_EQ(std::memcmp(ok_buf.data() + k * 512, want.data(), 512), 0);
+  }
+}
+
 TEST(FileRobustnessTest, RetryStackRecoversTransientFileFault) {
   const std::string path = TmpPath("pc_retry.db");
   auto r = FilePageDevice::Create(path, 512);

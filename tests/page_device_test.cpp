@@ -316,6 +316,54 @@ TEST(FilePageDeviceTest, SortedBatchTakesSortFreeFastPath) {
   }
 }
 
+TEST(FilePageDeviceTest, MultiRunBatchesDeliverBytesStatsAndSyscalls) {
+  constexpr uint32_t kPageSize = 512;
+  constexpr PageId kPages = 40;
+  auto r = FilePageDevice::Create(
+      ::testing::TempDir() + "/pc_fdev_multirun.bin", kPageSize);
+  ASSERT_TRUE(r.ok());
+  auto dev = std::move(r).value();
+  for (PageId p = 0; p < kPages; ++p) {
+    ASSERT_EQ(dev->Allocate().value(), p);
+    auto buf = Pattern(kPageSize, static_cast<uint8_t>(0x10 + p));
+    ASSERT_TRUE(dev->Write(p, buf.data()).ok());
+  }
+
+  // The shapes ReadBatch distinguishes, each with its count of coalesced
+  // runs: one preadv per run.
+  std::vector<PageId> evens, all, reversed;
+  for (PageId p = 0; p < kPages; ++p) {
+    all.push_back(p);
+    if (p % 2 == 0) evens.push_back(p);
+    reversed.push_back(kPages - 1 - p);
+  }
+  const std::vector<std::pair<std::vector<PageId>, uint64_t>> cases = {
+      {{0}, 1},                 // single page
+      {{0, 1, 2, 3}, 1},        // one sorted run
+      {{0, 2, 4, 6}, 4},        // all 1-page runs
+      {{5, 1, 9, 3, 7}, 5},     // unsorted, all gaps
+      {{8, 9, 2, 3, 0}, 3},     // unsorted, mixed runs
+      {evens, kPages / 2},      // many runs
+      {all, 1},                 // one long run
+      {reversed, 1},            // worst-case arrival order
+  };
+  for (const auto& [batch, runs] : cases) {
+    std::vector<std::byte> bufs(batch.size() * kPageSize, std::byte{0xAA});
+    dev->ResetStats();
+    ASSERT_TRUE(dev->ReadBatch(batch, bufs.data()).ok());
+    EXPECT_EQ(dev->stats().reads, batch.size());
+    EXPECT_EQ(dev->stats().batch_reads, 1u);
+    EXPECT_EQ(dev->read_syscalls(), runs) << "batch of " << batch.size();
+    // Every slot holds the page the caller asked for, in the caller's order.
+    for (size_t k = 0; k < batch.size(); ++k) {
+      EXPECT_EQ(bufs[k * kPageSize], static_cast<std::byte>(0x10 + batch[k]))
+          << "slot " << k << " (page " << batch[k] << ")";
+      EXPECT_EQ(bufs[(k + 1) * kPageSize - 1],
+                static_cast<std::byte>(0x10 + batch[k]));
+    }
+  }
+}
+
 TEST(MemPageDeviceTest, PinReturnsStableCountedView) {
   MemPageDevice dev(256);
   PageId id = dev.Allocate().value();

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
 
 #include "io/mem_page_device.h"
@@ -44,6 +45,37 @@ class Oracle {
  private:
   std::map<uint64_t, Point> pts_;
 };
+
+// Every live page's bytes, keyed by id; diffing two snapshots finds the
+// pages an operation wrote.
+std::map<PageId, std::vector<std::byte>> Snapshot(PageDevice* dev) {
+  std::vector<PageId> ids;
+  EXPECT_TRUE(dev->ListLivePages(&ids).ok());
+  std::map<PageId, std::vector<std::byte>> pages;
+  for (PageId id : ids) {
+    auto& buf = pages[id];
+    buf.resize(dev->page_size());
+    EXPECT_TRUE(dev->Read(id, buf.data()).ok());
+  }
+  return pages;
+}
+
+// Sets the count word of the one page that differs between the snapshots
+// (an update buffer) one past the page's UpdateRec capacity.
+void CorruptChangedBufferCount(
+    PageDevice* dev, const std::map<PageId, std::vector<std::byte>>& before,
+    const std::map<PageId, std::vector<std::byte>>& after) {
+  std::vector<PageId> changed;
+  for (const auto& [id, bytes] : after) {
+    auto it = before.find(id);
+    if (it == before.end() || it->second != bytes) changed.push_back(id);
+  }
+  ASSERT_EQ(changed.size(), 1u);
+  std::vector<std::byte> page = after.at(changed[0]);
+  const uint32_t bad = RecordsPerPage<UpdateRec>(dev->page_size()) + 1;
+  std::memcpy(page.data(), &bad, sizeof(bad));
+  ASSERT_TRUE(dev->Write(changed[0], page.data()).ok());
+}
 
 TEST(DynamicPstTest, EmptyStructure) {
   MemPageDevice dev(4096);
@@ -260,6 +292,17 @@ TEST(DynamicPstTest, DestroyFreesEverything) {
   EXPECT_GT(dev.live_pages(), 0u);
   ASSERT_TRUE(pst.Destroy().ok());
   EXPECT_EQ(dev.live_pages(), 0u);
+}
+
+TEST(DynamicPstTest, CorruptBufferCountIsCorruption) {
+  MemPageDevice dev(4096);
+  DynamicPst pst(&dev);
+  ASSERT_TRUE(pst.Build(UniformPts(2000, 5)).ok());
+  const auto before = Snapshot(&dev);
+  ASSERT_TRUE(pst.Insert({5, 7, 1'000'000}).ok());  // lands in the root buffer
+  CorruptChangedBufferCount(&dev, before, Snapshot(&dev));
+  std::vector<Point> out;
+  EXPECT_EQ(pst.QueryTwoSided({0, 0}, &out).code(), StatusCode::kCorruption);
 }
 
 }  // namespace

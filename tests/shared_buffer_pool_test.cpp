@@ -284,56 +284,6 @@ TEST_F(SharedBufferPoolTest, ConcurrentPinnedReadsStayCoherent) {
   EXPECT_EQ(pool.hits() + pool.misses(), pool.stats().reads);
 }
 
-// --- SubmitBatch/AwaitBatch through the pool ------------------------------
-
-TEST_F(SharedBufferPoolTest, AsyncBatchFallsBackWhenInnerIsSyncOnly) {
-  // MemPageDevice has no async engine.  The FIRST pool SubmitBatch discovers
-  // that mid-batch (counters already moved), finishes with a blocking inner
-  // read, and memoizes; later submits refuse before counting so the
-  // ReadBatch fallback counts the batch exactly once.
-  std::vector<PageId> ids;
-  for (int i = 0; i < 6; ++i) ids.push_back(MakePage(static_cast<uint8_t>(i)));
-  SharedBufferPool pool(&dev_, 16, 4);
-  std::vector<std::byte> warm(kPage);
-  ASSERT_TRUE(pool.Read(ids[1], warm.data()).ok());  // one future hit
-
-  std::vector<std::byte> bufs(ids.size() * kPage);
-  auto t = pool.SubmitBatch(ids, bufs.data());
-  ASSERT_TRUE(t.ok()) << t.status().ToString();
-  ASSERT_TRUE(pool.AwaitBatch(t.value()).ok());
-  for (size_t k = 0; k < ids.size(); ++k) {
-    EXPECT_EQ(bufs[k * kPage], static_cast<std::byte>(k)) << "slot " << k;
-  }
-  EXPECT_EQ(pool.stats().reads, 1u + ids.size());
-  EXPECT_EQ(pool.hits(), 1u);
-  EXPECT_EQ(pool.misses(), ids.size());
-  // All pages were admitted at await: a second async attempt now refuses
-  // up front (memoized sync-only inner) and ReadBatch serves pure hits.
-  EXPECT_EQ(pool.SubmitBatch(ids, bufs.data()).status().code(),
-            StatusCode::kNotSupported);
-  dev_.ResetStats();
-  ASSERT_TRUE(pool.ReadBatch(ids, bufs.data()).ok());
-  EXPECT_EQ(dev_.stats().reads, 0u);
-}
-
-TEST_F(SharedBufferPoolTest, AsyncBatchRefusesDuplicateIdsBeforeCounting) {
-  PageId a = MakePage(0x11);
-  PageId b = MakePage(0x22);
-  SharedBufferPool pool(&dev_, 16, 4);
-  std::vector<PageId> dup{a, b, a};
-  std::vector<std::byte> bufs(dup.size() * kPage);
-  EXPECT_EQ(pool.SubmitBatch(dup, bufs.data()).status().code(),
-            StatusCode::kNotSupported);
-  // Nothing counted: the ReadBatch fallback owns the whole batch.
-  EXPECT_EQ(pool.stats().reads, 0u);
-  EXPECT_EQ(pool.hits() + pool.misses(), 0u);
-  ASSERT_TRUE(pool.ReadBatch(dup, bufs.data()).ok());
-  EXPECT_EQ(pool.stats().reads, dup.size());
-  EXPECT_EQ(bufs[0], std::byte{0x11});
-  EXPECT_EQ(bufs[kPage], std::byte{0x22});
-  EXPECT_EQ(bufs[2 * kPage], std::byte{0x11});
-}
-
 // --- Pin alignment (the SIMD-kernel performance contract) ------------------
 
 TEST_F(SharedBufferPoolTest, PinnedFramesAreCacheLineAligned) {
