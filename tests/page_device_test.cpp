@@ -364,6 +364,38 @@ TEST(FilePageDeviceTest, MultiRunBatchesDeliverBytesStatsAndSyscalls) {
   }
 }
 
+TEST(FilePageDeviceTest, ReadSyscallsAccumulateOnePerRunAcrossBatches) {
+  constexpr uint32_t kPageSize = 256;
+  auto r = FilePageDevice::Create(
+      ::testing::TempDir() + "/pc_fdev_runcount.bin", kPageSize);
+  ASSERT_TRUE(r.ok());
+  auto dev = std::move(r).value();
+  for (PageId p = 0; p < 8; ++p) {
+    ASSERT_EQ(dev->Allocate().value(), p);
+    auto buf = Pattern(kPageSize, static_cast<uint8_t>(0x30 + p));
+    ASSERT_TRUE(dev->Write(p, buf.data()).ok());
+  }
+  dev->ResetStats();
+
+  std::vector<std::byte> buf(8 * kPageSize);
+  // A single coalesced run is one preadv.
+  std::vector<PageId> one_run{2, 3, 4};
+  ASSERT_TRUE(dev->ReadBatch(one_run, buf.data()).ok());
+  EXPECT_EQ(dev->read_syscalls(), 1u);
+  for (size_t k = 0; k < one_run.size(); ++k) {
+    EXPECT_EQ(buf[k * kPageSize], static_cast<std::byte>(0x30 + one_run[k]));
+  }
+  // Two runs add two more; the counter sums over batches until reset.
+  std::vector<PageId> two_runs{0, 1, 6, 7};
+  ASSERT_TRUE(dev->ReadBatch(two_runs, buf.data()).ok());
+  EXPECT_EQ(dev->read_syscalls(), 1u + 2u);
+  EXPECT_EQ(dev->stats().reads, one_run.size() + two_runs.size());
+  EXPECT_EQ(dev->stats().batch_reads, 2u);
+  for (size_t k = 0; k < two_runs.size(); ++k) {
+    EXPECT_EQ(buf[k * kPageSize], static_cast<std::byte>(0x30 + two_runs[k]));
+  }
+}
+
 TEST(MemPageDeviceTest, PinReturnsStableCountedView) {
   MemPageDevice dev(256);
   PageId id = dev.Allocate().value();
