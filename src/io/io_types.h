@@ -33,6 +33,13 @@ struct IoStats {
 
   uint64_t total() const { return reads + writes; }
 
+  IoStats& operator+=(const IoStats& o) {
+    *this = IoStats{reads + o.reads,   writes + o.writes,
+                    allocs + o.allocs, frees + o.frees,
+                    batch_reads + o.batch_reads, syncs + o.syncs};
+    return *this;
+  }
+
   IoStats operator-(const IoStats& o) const {
     return IoStats{reads - o.reads,   writes - o.writes,
                    allocs - o.allocs, frees - o.frees,

@@ -71,7 +71,8 @@ struct ShardSlice {
 
 /// Outcome of one request, delivered to its completion callback on a worker
 /// thread.  Exactly one of `points` / `intervals` is populated on success,
-/// by the structure's kind.
+/// by the structure's kind; record order is unspecified (a router returns
+/// its shards' answers concatenated in shard order).
 struct QueryResult {
   Status status = Status::OK();
   std::vector<Point> points;

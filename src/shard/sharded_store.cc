@@ -1,5 +1,7 @@
 #include "shard/sharded_store.h"
 
+#include <algorithm>
+#include <functional>
 #include <utility>
 
 #include "core/ext_segment_tree.h"
@@ -12,16 +14,23 @@ ShardedStore::ShardedStore(ShardedStoreOptions opts)
     : opts_(std::move(opts)),
       clock_(opts_.clock != nullptr ? opts_.clock : SystemClock::Default()) {
   if (opts_.shards == 0) opts_.shards = 1;
+  const std::vector<int64_t>& cuts = opts_.cuts;
+  if (!opts_.devices.empty() && opts_.devices.size() != opts_.shards) {
+    config_ = Status::InvalidArgument("devices.size() must equal shards");
+  } else if (cuts.size() >= opts_.shards ||
+             std::adjacent_find(cuts.begin(), cuts.end(),
+                                std::greater_equal<>()) != cuts.end()) {
+    config_ = Status::InvalidArgument(
+        "cuts must be at most shards-1 strictly ascending keys");
+  }
   if (!opts_.cuts.empty()) {
     map_ = ShardMap(opts_.cuts);
     map_fixed_ = true;
-    // Explicit cuts define the shard count; an options mismatch would
-    // silently misroute, so the wider of the two wins and extra shards
-    // just stay empty.
-    if (map_.shards() > opts_.shards) opts_.shards = map_.shards();
   }
+  // A rejected configuration still gets one stack per shard, so every
+  // accessor stays in range; Add* and Start refuse to use them.
   devices_.resize(opts_.shards, nullptr);
-  if (!opts_.devices.empty() && opts_.devices.size() == opts_.shards) {
+  if (opts_.devices.size() == opts_.shards) {
     for (uint32_t k = 0; k < opts_.shards; ++k) devices_[k] = opts_.devices[k];
   } else {
     for (uint32_t k = 0; k < opts_.shards; ++k) {
@@ -51,9 +60,9 @@ void ShardedStore::EnsureMap(std::vector<int64_t> keys) {
   map_fixed_ = true;
 }
 
-template <typename Structure>
+template <typename Structure, typename Record>
 Result<uint32_t> ShardedStore::AddPartitioned(
-    QueryKind kind, std::vector<std::vector<Point>> parts) {
+    QueryKind kind, std::vector<std::vector<Record>> parts) {
   StructureInfo info;
   info.kind = kind;
   info.engine_id.assign(opts_.shards, -1);
@@ -69,28 +78,29 @@ Result<uint32_t> ShardedStore::AddPartitioned(
   return static_cast<uint32_t>(infos_.size() - 1);
 }
 
-Result<uint32_t> ShardedStore::AddTwoSided(std::span<const Point> pts) {
+template <typename Structure>
+Result<uint32_t> ShardedStore::AddPoints(QueryKind kind,
+                                         std::span<const Point> pts) {
+  PC_RETURN_IF_ERROR(config_);
   std::vector<int64_t> keys;
   keys.reserve(pts.size());
   for (const Point& p : pts) keys.push_back(p.x);
   EnsureMap(std::move(keys));
   std::vector<std::vector<Point>> parts(opts_.shards);
   for (const Point& p : pts) parts[map_.ShardOf(p.x)].push_back(p);
-  return AddPartitioned<ExternalPst>(QueryKind::kTwoSided, std::move(parts));
+  return AddPartitioned<Structure>(kind, std::move(parts));
+}
+
+Result<uint32_t> ShardedStore::AddTwoSided(std::span<const Point> pts) {
+  return AddPoints<ExternalPst>(QueryKind::kTwoSided, pts);
 }
 
 Result<uint32_t> ShardedStore::AddThreeSided(std::span<const Point> pts) {
-  std::vector<int64_t> keys;
-  keys.reserve(pts.size());
-  for (const Point& p : pts) keys.push_back(p.x);
-  EnsureMap(std::move(keys));
-  std::vector<std::vector<Point>> parts(opts_.shards);
-  for (const Point& p : pts) parts[map_.ShardOf(p.x)].push_back(p);
-  return AddPartitioned<ThreeSidedPst>(QueryKind::kThreeSided,
-                                       std::move(parts));
+  return AddPoints<ThreeSidedPst>(QueryKind::kThreeSided, pts);
 }
 
 Result<uint32_t> ShardedStore::AddStabbing(std::span<const Interval> ivs) {
+  PC_RETURN_IF_ERROR(config_);
   std::vector<int64_t> keys;
   keys.reserve(ivs.size());
   for (const Interval& iv : ivs) keys.push_back(iv.lo);
@@ -100,19 +110,8 @@ Result<uint32_t> ShardedStore::AddStabbing(std::span<const Interval> ivs) {
     const auto [first, last] = map_.Overlapping(iv.lo, iv.hi);
     for (uint32_t k = first; k <= last; ++k) parts[k].push_back(iv);
   }
-  StructureInfo info;
-  info.kind = QueryKind::kStabbing;
-  info.engine_id.assign(opts_.shards, -1);
-  for (uint32_t k = 0; k < opts_.shards; ++k) {
-    if (parts[k].empty()) continue;
-    ExtSegmentTree st(pools_[k].get());
-    PC_RETURN_IF_ERROR(st.Build(std::move(parts[k])));
-    PC_ASSIGN_OR_RETURN(PageId manifest, st.Save());
-    PC_ASSIGN_OR_RETURN(uint32_t id, engines_[k]->AddStructure(manifest));
-    info.engine_id[k] = static_cast<int32_t>(id);
-  }
-  infos_.push_back(std::move(info));
-  return static_cast<uint32_t>(infos_.size() - 1);
+  return AddPartitioned<ExtSegmentTree>(QueryKind::kStabbing,
+                                        std::move(parts));
 }
 
 Status ShardedStore::SetTenantQuota(uint32_t tenant, uint64_t tokens) {
@@ -123,6 +122,7 @@ Status ShardedStore::SetTenantQuota(uint32_t tenant, uint64_t tokens) {
 }
 
 Status ShardedStore::Start() {
+  PC_RETURN_IF_ERROR(config_);
   for (auto& e : engines_) {
     PC_RETURN_IF_ERROR(e->Start());
   }

@@ -50,11 +50,12 @@ struct ShardedStoreOptions {
   uint32_t batch_size = 8;
   /// Deadline clock shared by every shard engine; nullptr = SystemClock.
   Clock* clock = nullptr;
-  /// Explicit partition cuts (ascending, at most shards-1 of them).  Empty
-  /// derives equal-count cuts from the first Add*'s keys.
+  /// Explicit partition cuts (strictly ascending, at most shards-1 of them;
+  /// shards past the last cut stay empty).  Empty derives equal-count cuts
+  /// from the first Add*'s keys.
   std::vector<int64_t> cuts;
-  /// Per-shard device override (size must equal `shards`), not owned; tests
-  /// use it to slide a FaultPageDevice under a single shard.  Empty = the
+  /// Per-shard devices, not owned (size must equal `shards`); tests use
+  /// them to slide a FaultPageDevice under a single shard.  Empty = the
   /// store owns one MemPageDevice per shard.
   std::vector<PageDevice*> devices;
 };
@@ -69,6 +70,8 @@ class ShardedStore {
     std::vector<int32_t> engine_id;
   };
 
+  /// Contradictory options (devices.size() != shards, more than shards-1
+  /// cuts, cuts not strictly ascending) make Add* and Start() fail.
   explicit ShardedStore(ShardedStoreOptions opts = {});
 
   ShardedStore(const ShardedStore&) = delete;
@@ -112,11 +115,14 @@ class ShardedStore {
   /// Fixes the shard map on first use: explicit cuts win, otherwise
   /// equal-count cuts over `keys`.
   void EnsureMap(std::vector<int64_t> keys);
-  template <typename Structure>
+  template <typename Structure, typename Record>
   Result<uint32_t> AddPartitioned(QueryKind kind,
-                                  std::vector<std::vector<Point>> parts);
+                                  std::vector<std::vector<Record>> parts);
+  template <typename Structure>
+  Result<uint32_t> AddPoints(QueryKind kind, std::span<const Point> pts);
 
   ShardedStoreOptions opts_;
+  Status config_;  // non-OK when the options contradict each other
   Clock* clock_;
   ShardMap map_;
   bool map_fixed_ = false;

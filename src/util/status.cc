@@ -38,4 +38,11 @@ std::string Status::ToString() const {
   return out;
 }
 
+Status Status::WithPrefix(std::string_view prefix) const {
+  if (ok()) return *this;
+  std::string msg(prefix);
+  msg += message();
+  return Status(code_, std::move(msg));
+}
+
 }  // namespace pathcache

@@ -92,6 +92,11 @@ class Status {
   /// "OK" or "IOError: <message>".
   std::string ToString() const;
 
+  /// The same code with `prefix` put in front of the message, so a caller
+  /// can add context ("shard 1: ") without re-deciding the error class.
+  /// OK stays OK.
+  Status WithPrefix(std::string_view prefix) const;
+
  private:
   Status(StatusCode code, std::string msg)
       : code_(code),

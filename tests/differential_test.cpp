@@ -28,10 +28,9 @@ std::vector<Point> GenPointsFor(const DiffCase& c, int64_t coord_max) {
   o.n = c.n;
   o.seed = c.seed;
   o.coord_max = coord_max;
-  const std::string dist = c.dist;
-  if (dist == "clustered") return GenPointsClustered(o, 6, 4000);
-  if (dist == "anti") return GenPointsAntiCorrelated(o, 3000);
-  if (dist == "diagonal") return GenPointsDiagonal(o, 1500);
+  if (c.dist == Dist::kClustered) return GenPointsClustered(o, 6, 4000);
+  if (c.dist == Dist::kAnti) return GenPointsAntiCorrelated(o, 3000);
+  if (c.dist == Dist::kDiagonal) return GenPointsDiagonal(o, 1500);
   return GenPointsUniform(o);
 }
 
@@ -41,11 +40,10 @@ std::vector<Interval> GenIntervalsFor(const DiffCase& c) {
   o.seed = c.seed;
   o.domain_max = 2'000'000;
   o.mean_len_frac = 0.02;
-  const std::string dist = c.dist;
   std::vector<Interval> ivs;
-  if (dist == "nested") {
+  if (c.dist == Dist::kNested) {
     ivs = GenIntervalsNested(o);
-  } else if (dist == "bursty") {
+  } else if (c.dist == Dist::kBursty) {
     ivs = GenIntervalsBursty(o, 9);
   } else {
     ivs = GenIntervalsUniform(o);
@@ -81,7 +79,7 @@ struct ExternalPstAdapter {
     Status init;
     Instance(const std::vector<Point>& recs, const DiffCase& c)
         : dev(c.page_size),
-          pst(&dev, ExternalPstOptions{.enable_path_caching = c.caching}) {
+          pst(&dev, ExternalPstOptions{.enable_path_caching = c.caching != 0}) {
       init = pst.Build(recs);
     }
     Status Query(const TwoSidedQuery& q, std::vector<Point>* out) const {
@@ -120,7 +118,8 @@ struct ThreeSidedAdapter {
     Status init;
     Instance(const std::vector<Point>& recs, const DiffCase& c)
         : dev(c.page_size),
-          pst(&dev, ThreeSidedPstOptions{.enable_path_caching = c.caching}) {
+          pst(&dev,
+              ThreeSidedPstOptions{.enable_path_caching = c.caching != 0}) {
       init = pst.Build(recs);
     }
     Status Query(const ThreeSidedQuery& q, std::vector<Point>* out) const {
@@ -161,7 +160,7 @@ struct SegTreeAdapter {
     Instance(const std::vector<Interval>& recs, const DiffCase& c)
         : dev(c.page_size),
           tree(&dev,
-               ExtSegmentTreeOptions{.enable_path_caching = c.caching}) {
+               ExtSegmentTreeOptions{.enable_path_caching = c.caching != 0}) {
       init = tree.Build(recs);
     }
     Status Query(int64_t q, std::vector<Interval>* out) const {
@@ -200,7 +199,7 @@ struct IntervalTreeAdapter {
     Instance(const std::vector<Interval>& recs, const DiffCase& c)
         : dev(c.page_size),
           tree(&dev,
-               ExtIntervalTreeOptions{.enable_path_caching = c.caching}) {
+               ExtIntervalTreeOptions{.enable_path_caching = c.caching != 0}) {
       init = tree.Build(recs);
     }
     Status Query(int64_t q, std::vector<Interval>* out) const {
@@ -242,11 +241,11 @@ INSTANTIATE_TEST_SUITE_P(
                       DiffCase{.n = 5000, .seed = 7, .page_size = 512,
                                .caching = false},
                       DiffCase{.n = 5000, .seed = 8, .page_size = 256},
-                      DiffCase{.n = 10000, .seed = 9, .dist = "clustered"},
-                      DiffCase{.n = 10000, .seed = 10, .dist = "anti"},
-                      DiffCase{.n = 10000, .seed = 11, .dist = "diagonal"},
+                      DiffCase{.n = 10000, .seed = 9, .dist = Dist::kClustered},
+                      DiffCase{.n = 10000, .seed = 10, .dist = Dist::kAnti},
+                      DiffCase{.n = 10000, .seed = 11, .dist = Dist::kDiagonal},
                       DiffCase{.n = 10000, .seed = 12, .page_size = 1024,
-                               .caching = false, .dist = "clustered"}));
+                               .caching = false, .dist = Dist::kClustered}));
 
 class ThreeSidedDifferential : public ::testing::TestWithParam<DiffCase> {};
 TEST_P(ThreeSidedDifferential, MatchesOracle) {
@@ -265,9 +264,9 @@ INSTANTIATE_TEST_SUITE_P(
                                .caching = false},
                       DiffCase{.n = 8000, .seed = 8, .page_size = 256,
                                .x_frac = 0.3},
-                      DiffCase{.n = 15000, .seed = 9, .dist = "clustered",
+                      DiffCase{.n = 15000, .seed = 9, .dist = Dist::kClustered,
                                .x_frac = 0.15},
-                      DiffCase{.n = 15000, .seed = 10, .dist = "diagonal",
+                      DiffCase{.n = 15000, .seed = 10, .dist = Dist::kDiagonal,
                                .x_frac = 0.15},
                       DiffCase{.n = 15000, .seed = 11, .page_size = 1024,
                                .x_frac = 0.5},
@@ -287,8 +286,8 @@ INSTANTIATE_TEST_SUITE_P(
                       DiffCase{.n = 5000, .seed = 5, .page_size = 512},
                       DiffCase{.n = 5000, .seed = 6, .page_size = 512,
                                .caching = false},
-                      DiffCase{.n = 8000, .seed = 7, .dist = "nested"},
-                      DiffCase{.n = 8000, .seed = 8, .dist = "bursty"},
+                      DiffCase{.n = 8000, .seed = 7, .dist = Dist::kNested},
+                      DiffCase{.n = 8000, .seed = 8, .dist = Dist::kBursty},
                       DiffCase{.n = 4000, .seed = 9, .page_size = 256}));
 
 class IntervalTreeDifferential : public ::testing::TestWithParam<DiffCase> {};
@@ -304,8 +303,8 @@ INSTANTIATE_TEST_SUITE_P(
                       DiffCase{.n = 5000, .seed = 5, .page_size = 512},
                       DiffCase{.n = 5000, .seed = 6, .page_size = 512,
                                .caching = false},
-                      DiffCase{.n = 8000, .seed = 7, .dist = "nested"},
-                      DiffCase{.n = 8000, .seed = 8, .dist = "bursty"},
+                      DiffCase{.n = 8000, .seed = 7, .dist = Dist::kNested},
+                      DiffCase{.n = 8000, .seed = 8, .dist = Dist::kBursty},
                       DiffCase{.n = 4000, .seed = 9, .page_size = 256},
                       DiffCase{.n = 20000, .seed = 10, .page_size = 1024}));
 

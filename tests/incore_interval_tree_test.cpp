@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "sweep_dist.h"
 #include "workload/generators.h"
 #include "workload/oracle.h"
 
@@ -36,7 +37,7 @@ TEST(InCoreIntervalTreeTest, IdenticalIntervals) {
 struct ItCase {
   uint64_t n;
   uint64_t seed;
-  const char* dist;
+  Dist dist;
 };
 
 class InCoreIntervalTreeRandomTest : public ::testing::TestWithParam<ItCase> {
@@ -50,9 +51,9 @@ TEST_P(InCoreIntervalTreeRandomTest, MatchesBruteForce) {
   o.domain_max = 50000;
   o.mean_len_frac = 0.03;
   std::vector<Interval> ivs;
-  if (std::string(tc.dist) == "uniform") {
+  if (tc.dist == Dist::kUniform) {
     ivs = GenIntervalsUniform(o);
-  } else if (std::string(tc.dist) == "nested") {
+  } else if (tc.dist == Dist::kNested) {
     ivs = GenIntervalsNested(o);
   } else {
     ivs = GenIntervalsBursty(o, 6);
@@ -78,9 +79,12 @@ TEST_P(InCoreIntervalTreeRandomTest, MatchesBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, InCoreIntervalTreeRandomTest,
-    ::testing::Values(ItCase{10, 1, "uniform"}, ItCase{100, 2, "uniform"},
-                      ItCase{2000, 3, "uniform"}, ItCase{2000, 4, "nested"},
-                      ItCase{2000, 5, "bursty"}, ItCase{999, 6, "uniform"}));
+    ::testing::Values(ItCase{10, 1, Dist::kUniform},
+                      ItCase{100, 2, Dist::kUniform},
+                      ItCase{2000, 3, Dist::kUniform},
+                      ItCase{2000, 4, Dist::kNested},
+                      ItCase{2000, 5, Dist::kBursty},
+                      ItCase{999, 6, Dist::kUniform}));
 
 }  // namespace
 }  // namespace pathcache

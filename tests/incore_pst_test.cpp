@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "sweep_dist.h"
 #include "util/mathutil.h"
 #include "workload/generators.h"
 #include "workload/oracle.h"
@@ -57,7 +58,7 @@ TEST(InCorePstTest, DuplicateXValues) {
 struct PstCase {
   uint64_t n;
   uint64_t seed;
-  const char* dist;
+  Dist dist;
 };
 
 class InCorePstRandomTest : public ::testing::TestWithParam<PstCase> {};
@@ -69,9 +70,9 @@ TEST_P(InCorePstRandomTest, MatchesBruteForce) {
   o.seed = pc.seed;
   o.coord_max = 100000;
   std::vector<Point> pts;
-  if (std::string(pc.dist) == "uniform") {
+  if (pc.dist == Dist::kUniform) {
     pts = GenPointsUniform(o);
-  } else if (std::string(pc.dist) == "clustered") {
+  } else if (pc.dist == Dist::kClustered) {
     pts = GenPointsClustered(o, 8, 2000);
   } else {
     pts = GenPointsDiagonal(o, 500);
@@ -96,11 +97,12 @@ TEST_P(InCorePstRandomTest, MatchesBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, InCorePstRandomTest,
-    ::testing::Values(PstCase{10, 1, "uniform"}, PstCase{100, 2, "uniform"},
-                      PstCase{1000, 3, "uniform"},
-                      PstCase{5000, 4, "clustered"},
-                      PstCase{5000, 5, "diagonal"},
-                      PstCase{313, 6, "uniform"}));
+    ::testing::Values(PstCase{10, 1, Dist::kUniform},
+                      PstCase{100, 2, Dist::kUniform},
+                      PstCase{1000, 3, Dist::kUniform},
+                      PstCase{5000, 4, Dist::kClustered},
+                      PstCase{5000, 5, Dist::kDiagonal},
+                      PstCase{313, 6, Dist::kUniform}));
 
 TEST(InCorePstTest, QueryComplexityIsLogarithmicPlusOutput) {
   PointGenOptions o;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "sweep_dist.h"
 #include "util/mathutil.h"
 #include "workload/generators.h"
 #include "workload/oracle.h"
@@ -44,7 +45,7 @@ TEST(InCoreSegTreeTest, PointInterval) {
 struct SegCase {
   uint64_t n;
   uint64_t seed;
-  const char* dist;
+  Dist dist;
 };
 
 class InCoreSegTreeRandomTest : public ::testing::TestWithParam<SegCase> {};
@@ -57,9 +58,9 @@ TEST_P(InCoreSegTreeRandomTest, MatchesBruteForce) {
   o.domain_max = 100000;
   o.mean_len_frac = 0.05;
   std::vector<Interval> ivs;
-  if (std::string(sc.dist) == "uniform") {
+  if (sc.dist == Dist::kUniform) {
     ivs = GenIntervalsUniform(o);
-  } else if (std::string(sc.dist) == "nested") {
+  } else if (sc.dist == Dist::kNested) {
     ivs = GenIntervalsNested(o);
   } else {
     ivs = GenIntervalsBursty(o, 10);
@@ -86,9 +87,12 @@ TEST_P(InCoreSegTreeRandomTest, MatchesBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, InCoreSegTreeRandomTest,
-    ::testing::Values(SegCase{10, 1, "uniform"}, SegCase{100, 2, "uniform"},
-                      SegCase{2000, 3, "uniform"}, SegCase{2000, 4, "nested"},
-                      SegCase{2000, 5, "bursty"}, SegCase{777, 6, "uniform"}));
+    ::testing::Values(SegCase{10, 1, Dist::kUniform},
+                      SegCase{100, 2, Dist::kUniform},
+                      SegCase{2000, 3, Dist::kUniform},
+                      SegCase{2000, 4, Dist::kNested},
+                      SegCase{2000, 5, Dist::kBursty},
+                      SegCase{777, 6, Dist::kUniform}));
 
 TEST(InCoreSegTreeTest, StorageIsNLogN) {
   IntervalGenOptions o;

@@ -57,6 +57,7 @@
 #include "net/wire.h"
 #include "serve/query_engine.h"
 #include "shard/shard_router.h"
+#include "sweep_dist.h"
 #include "util/geometry.h"
 #include "util/random.h"
 #include "util/status.h"
@@ -71,8 +72,8 @@ struct DiffCase {
   uint64_t n = 0;
   uint64_t seed = 0;
   uint32_t page_size = 4096;
-  bool caching = true;
-  const char* dist = "uniform";
+  uint32_t caching = true;  // a flag, 32 bits wide so the struct has no padding
+  Dist dist = Dist::kUniform;
   double x_frac = 0.2;  // 3-sided query width fraction; ignored elsewhere
 };
 
@@ -81,7 +82,7 @@ inline std::string FormatCase(const DiffCase& c) {
   os << "DiffCase{.n=" << c.n << ", .seed=" << c.seed
      << ", .page_size=" << c.page_size
      << ", .caching=" << (c.caching ? "true" : "false") << ", .dist=\""
-     << c.dist << "\", .x_frac=" << c.x_frac << "}";
+     << DistName(c.dist) << "\", .x_frac=" << c.x_frac << "}";
   return os.str();
 }
 
@@ -629,11 +630,12 @@ inline net::Response EngineOracleResponse(QueryEngine* engine,
 }  // namespace nettest
 
 // ---------------------------------------------------------------------------
-// Sharded differential harness (PR 10).  A ShardedStore + ShardRouter and an
+// Sharded differential harness.  A ShardedStore + ShardRouter and an
 // unsharded twin QueryEngine are built over the SAME records; every query
-// must come back byte-identical from both (after putting the twin's answer
-// into the router's canonical order), and the router's merged I/O must equal
-// the sum of its per-shard slices.  Only shard_test instantiates these
+// must come back byte-identical from both once each answer is put in
+// canonical order, the routed answer must be its shards' own answers
+// concatenated in shard order, and the router's merged I/O must equal the
+// sum of its per-shard slices.  Only shard_test instantiates these
 // helpers; other oracle_common.h users never reference (and so never link)
 // the shard library.
 // ---------------------------------------------------------------------------
@@ -660,8 +662,10 @@ inline QueryResult BlockingSubmit(QueryService* svc, uint32_t id,
   return fut.get();
 }
 
-/// ShardRouter's canonical merge order, applied to the unsharded twin's
-/// answer so the two compare byte-for-byte.
+/// A canonical record order: points by (x, y, id), intervals by
+/// (lo, hi, id).  Record order from an engine or a router is unspecified,
+/// so answers are canonicalized on both sides before a byte-for-byte
+/// comparison.
 inline void Canonicalize(std::vector<Point>* pts) {
   std::sort(pts->begin(), pts->end(), [](const Point& a, const Point& b) {
     return std::tie(a.x, a.y, a.id) < std::tie(b.x, b.y, b.id);
@@ -672,6 +676,31 @@ inline void Canonicalize(std::vector<Interval>* ivs) {
             [](const Interval& a, const Interval& b) {
               return std::tie(a.lo, a.hi, a.id) < std::tie(b.lo, b.hi, b.id);
             });
+}
+
+/// The sum of a routed result's per-shard slice I/O.
+inline IoStats SliceSum(const QueryResult& r) {
+  IoStats sum;
+  for (const ShardSlice& s : r.shards) sum += s.io;
+  return sum;
+}
+
+/// Queries each of `slices`' shard engines directly, in slice order, and
+/// concatenates their answers: what a router must return for `q`.
+inline QueryResult ShardOrderConcat(ShardedStore* store, uint32_t id,
+                                    const ServeQuery& q,
+                                    const std::vector<ShardSlice>& slices) {
+  QueryResult out;
+  for (const ShardSlice& s : slices) {
+    const int32_t engine_id = store->info(id).engine_id[s.shard];
+    QueryResult r =
+        BlockingSubmit(store->engine(s.shard), uint32_t(engine_id), q);
+    if (!r.status.ok()) return r;
+    out.points.insert(out.points.end(), r.points.begin(), r.points.end());
+    out.intervals.insert(out.intervals.end(), r.intervals.begin(),
+                         r.intervals.end());
+  }
+  return out;
 }
 
 /// A sharded store + router and its unsharded twin engine over the same
@@ -717,8 +746,9 @@ class ShardedTwin {
     twin_engine_.Stop();
   }
 
-  /// One differential probe: the routed answer must match the twin's
-  /// (canonicalized), and the merged I/O must equal the slice sum.
+  /// One differential probe: the routed answer must be its slices' own
+  /// answers concatenated in shard order, must match the twin's once both
+  /// are canonicalized, and its merged I/O must equal the slice sum.
   ::testing::AssertionResult Check(uint32_t id, const ServeQuery& q) {
     QueryResult sharded = BlockingSubmit(&router_, id, q);
     QueryResult flat = BlockingSubmit(&twin_engine_, id, q);
@@ -730,6 +760,24 @@ class ShardedTwin {
       return ::testing::AssertionFailure()
              << "twin query failed: " << flat.status.ToString();
     }
+    for (size_t i = 1; i < sharded.shards.size(); ++i) {
+      if (sharded.shards[i - 1].shard >= sharded.shards[i].shard) {
+        return ::testing::AssertionFailure()
+               << "slices are not ordered by shard index";
+      }
+    }
+    QueryResult direct = ShardOrderConcat(&store_, id, q, sharded.shards);
+    if (!direct.status.ok()) {
+      return ::testing::AssertionFailure()
+             << "direct shard query failed: " << direct.status.ToString();
+    }
+    if (sharded.points != direct.points ||
+        sharded.intervals != direct.intervals) {
+      return ::testing::AssertionFailure()
+             << "routed answer is not its slices' answers in shard order";
+    }
+    Canonicalize(&sharded.points);
+    Canonicalize(&sharded.intervals);
     Canonicalize(&flat.points);
     Canonicalize(&flat.intervals);
     if (sharded.points != flat.points) {
@@ -742,12 +790,7 @@ class ShardedTwin {
              << "intervals diverge: sharded " << sharded.intervals.size()
              << " vs twin " << flat.intervals.size();
     }
-    IoStats sum;
-    for (const ShardSlice& s : sharded.shards) {
-      sum.reads += s.io.reads;
-      sum.writes += s.io.writes;
-      sum.batch_reads += s.io.batch_reads;
-    }
+    const IoStats sum = SliceSum(sharded);
     if (sum.reads != sharded.io.reads || sum.writes != sharded.io.writes ||
         sum.batch_reads != sharded.io.batch_reads) {
       return ::testing::AssertionFailure()

@@ -118,7 +118,8 @@ struct DynCase {
   uint64_t n0;       // initial bulk size
   uint64_t ops;      // number of mixed updates
   uint64_t seed;
-  uint32_t page_size;
+  uint64_t page_size;  // 64 bits so the struct has no padding for gtest's
+                       // byte-dump case name to pick up
   double insert_frac;
 };
 

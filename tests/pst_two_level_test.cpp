@@ -4,6 +4,7 @@
 
 #include "core/pst_external.h"
 #include "io/mem_page_device.h"
+#include "sweep_dist.h"
 #include "util/mathutil.h"
 #include "workload/generators.h"
 #include "workload/oracle.h"
@@ -40,7 +41,7 @@ struct TlCase {
   uint64_t seed;
   uint32_t page_size;
   uint32_t levels;
-  const char* dist;
+  Dist dist;
 };
 
 class TwoLevelSweep : public ::testing::TestWithParam<TlCase> {};
@@ -57,9 +58,9 @@ TEST_P(TwoLevelSweep, MatchesBruteForce) {
   o.seed = c.seed;
   o.coord_max = 300000;
   std::vector<Point> pts;
-  if (std::string(c.dist) == "uniform") {
+  if (c.dist == Dist::kUniform) {
     pts = GenPointsUniform(o);
-  } else if (std::string(c.dist) == "clustered") {
+  } else if (c.dist == Dist::kClustered) {
     pts = GenPointsClustered(o, 5, 5000);
   } else {
     pts = GenPointsAntiCorrelated(o, 2000);
@@ -82,15 +83,15 @@ TEST_P(TwoLevelSweep, MatchesBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, TwoLevelSweep,
-    ::testing::Values(TlCase{100, 1, 4096, 2, "uniform"},
-                      TlCase{5000, 2, 4096, 2, "uniform"},
-                      TlCase{50000, 3, 4096, 2, "uniform"},
-                      TlCase{20000, 4, 512, 2, "uniform"},
-                      TlCase{20000, 5, 1024, 2, "clustered"},
-                      TlCase{20000, 6, 4096, 2, "anti"},
-                      TlCase{50000, 7, 4096, 3, "uniform"},
-                      TlCase{20000, 8, 512, 3, "uniform"},
-                      TlCase{30000, 9, 4096, 4, "uniform"}));
+    ::testing::Values(TlCase{100, 1, 4096, 2, Dist::kUniform},
+                      TlCase{5000, 2, 4096, 2, Dist::kUniform},
+                      TlCase{50000, 3, 4096, 2, Dist::kUniform},
+                      TlCase{20000, 4, 512, 2, Dist::kUniform},
+                      TlCase{20000, 5, 1024, 2, Dist::kClustered},
+                      TlCase{20000, 6, 4096, 2, Dist::kAnti},
+                      TlCase{50000, 7, 4096, 3, Dist::kUniform},
+                      TlCase{20000, 8, 512, 3, Dist::kUniform},
+                      TlCase{30000, 9, 4096, 4, Dist::kUniform}));
 
 TEST(TwoLevelPstTest, DuplicateCoordinates) {
   MemPageDevice dev(512);

@@ -1,9 +1,11 @@
 // Tests for sharded multi-store serving (src/shard/).
 //
 // The core property is differential: a ShardedStore + ShardRouter over
-// {2, 4, 8} shards must answer every query shape byte-identically to an
-// unsharded twin engine built over the same records (ShardedTwin in
-// oracle_common.h), with the merged I/O equal to the per-shard slice sum.
+// {2, 4, 8} shards must answer every query shape with the same records as
+// an unsharded twin engine built over the same records (ShardedTwin in
+// oracle_common.h; both sides canonicalized, then compared byte for byte),
+// in its shards' own answer order concatenated by shard index, with the
+// merged I/O equal to the per-shard slice sum.
 // Partial failure is asserted deterministically, serve_test style: a
 // blocker parks one shard's only worker while a FakeClock advances past the
 // router's per-shard budget, or a FaultPageDevice under exactly one shard
@@ -16,7 +18,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <future>
+#include <string>
 #include <vector>
 
 #include "io/fault_page_device.h"
@@ -35,6 +39,13 @@ namespace {
 using shardtest::BlockingSubmit;
 using shardtest::Canonicalize;
 using shardtest::ShardedTwin;
+using shardtest::ShardOrderConcat;
+using shardtest::SliceSum;
+
+std::vector<Point> Canonical(std::vector<Point> pts) {
+  Canonicalize(&pts);
+  return pts;
+}
 
 TEST(ShardMapTest, RoutesKeysAndRanges) {
   ShardMap one;
@@ -209,7 +220,15 @@ TEST(ShardRouterTest, StabbingRoutesToExactlyOneShard) {
         BlockingSubmit(twin.router(), stab.value(), ServeQuery::Stab(q));
     ASSERT_TRUE(r.status.ok());
     ASSERT_EQ(r.shards.size(), 1u) << "stab " << q;
-    EXPECT_EQ(r.shards[0].shard, twin.store()->map().ShardOf(q));
+    const uint32_t k = twin.store()->map().ShardOf(q);
+    EXPECT_EQ(r.shards[0].shard, k);
+    // The one shard's answer passes through unchanged, order included.
+    const int32_t engine_id = twin.store()->info(stab.value()).engine_id[k];
+    QueryResult direct = BlockingSubmit(
+        twin.store()->engine(k), uint32_t(engine_id), ServeQuery::Stab(q));
+    ASSERT_TRUE(direct.status.ok());
+    EXPECT_EQ(r.intervals, direct.intervals) << "stab " << q;
+    EXPECT_EQ(r.io.reads, r.shards[0].io.reads);
     EXPECT_TRUE(twin.Check(stab.value(), ServeQuery::Stab(q)));
   }
   twin.Stop();
@@ -301,8 +320,7 @@ TEST(ShardRouterTest, SlowShardExpiresTypedWhileHealthyShardsAnswer) {
   for (const Point& p : pts) {
     if (store.map().ShardOf(p.x) == 0) expect.push_back(p);
   }
-  Canonicalize(&expect);
-  EXPECT_EQ(r.points, expect);
+  EXPECT_EQ(Canonical(r.points), Canonical(expect));
   store.Stop();
 }
 
@@ -343,8 +361,7 @@ TEST(ShardRouterTest, FaultedShardYieldsIoErrorWhileHealthyShardsAnswer) {
   for (const Point& p : pts) {
     if (store.map().ShardOf(p.x) == 0) expect.push_back(p);
   }
-  Canonicalize(&expect);
-  EXPECT_EQ(r.points, expect);
+  EXPECT_EQ(Canonical(r.points), Canonical(expect));
 
   // The fault is shard-local: shard 0 keeps serving, and a stab-style
   // narrow query that only touches shard 0 is entirely unaffected.
@@ -393,6 +410,166 @@ TEST(ShardRouterTest, QuotaBounceBecomesFailedSliceNotLostCallback) {
   store.Stop();
 }
 
+TEST(ShardRouterTest, SingleShardFailureKeepsOnlyItsTypedStatus) {
+  MemPageDevice mem0(4096), mem1(4096);
+  FaultPageDevice fault(&mem1);
+  ShardedStoreOptions sopts;
+  sopts.shards = 2;
+  sopts.devices = {&mem0, &fault};
+  ShardedStore store(sopts);
+  IntervalGenOptions io;
+  io.n = 600;
+  io.seed = 61;
+  std::vector<Interval> ivs = GenIntervalsUniform(io);
+  MakeEndpointsDistinct(&ivs);
+  auto id = store.AddStabbing(ivs);
+  ASSERT_TRUE(id.ok());
+  ASSERT_TRUE(store.SetTenantQuota(9, 0).ok());
+  ASSERT_TRUE(store.Start().ok());
+  ShardRouter router(&store);
+  const int64_t q0 = ivs[0].lo;  // any live key works for the bounce
+  const int64_t q1 = 4 * int64_t(io.n) - 4;  // near the top: shard 1
+  const uint32_t k0 = store.map().ShardOf(q0);
+  ASSERT_EQ(store.map().ShardOf(q1), 1u);
+
+  // A synchronous bounce on the one target shard still fires the callback.
+  QueryResult bounced = BlockingSubmit(&router, id.value(),
+                                       ServeQuery::Stab(q0), 0, /*tenant=*/9);
+  EXPECT_TRUE(bounced.status.IsOverloaded()) << bounced.status.ToString();
+  EXPECT_EQ(bounced.status.message().find("shard " + std::to_string(k0)),
+            0u)
+      << bounced.status.ToString();
+  ASSERT_EQ(bounced.shards.size(), 1u);
+  EXPECT_EQ(bounced.shards[0].shard, k0);
+  EXPECT_TRUE(bounced.shards[0].status.IsOverloaded());
+
+  // A slice that fails mid-query keeps its typed status but contributes no
+  // records or I/O, exactly as a failed slice of a multi-shard merge.
+  fault.FailReadAt(fault.reads_seen(), /*persistent=*/true);
+  store.pool(1)->Clear();
+  QueryResult failed =
+      BlockingSubmit(&router, id.value(), ServeQuery::Stab(q1));
+  EXPECT_TRUE(failed.status.IsIoError()) << failed.status.ToString();
+  EXPECT_EQ(failed.status.message().find("shard 1: "), 0u);
+  ASSERT_EQ(failed.shards.size(), 1u);
+  EXPECT_TRUE(failed.shards[0].status.IsIoError());
+  EXPECT_TRUE(failed.intervals.empty());
+  EXPECT_EQ(failed.io.reads, 0u);
+  EXPECT_EQ(failed.stats.total_reads(), 0u);
+  store.Stop();
+}
+
+TEST(ShardRouterTest, SlicesKeepShardOrderWhenALaterShardFinishesFirst) {
+  ShardedStoreOptions sopts;
+  sopts.shards = 2;
+  sopts.cuts = {50'000};
+  sopts.engine_workers = 1;
+  sopts.batch_size = 1;
+  ShardedStore store(sopts);
+  PointGenOptions po;
+  po.n = 1000;
+  po.coord_max = 100'000;
+  po.seed = 62;
+  std::vector<Point> pts = GenPointsUniform(po);
+  auto id = store.AddTwoSided(pts);
+  ASSERT_TRUE(id.ok());
+  ASSERT_TRUE(store.Start().ok());
+  ShardRouter router(&store);
+
+  // Park shard 0's only worker, so shard 1's slice lands first.
+  const int32_t sub0 = store.info(id.value()).engine_id[0];
+  ASSERT_GE(sub0, 0);
+  WorkerBlocker blocker;
+  ASSERT_TRUE(store.engine(0)
+                  ->Submit(uint32_t(sub0),
+                           ServeQuery::TwoSided(TwoSidedQuery{INT64_MAX,
+                                                              INT64_MAX}),
+                           blocker.Callback())
+                  .ok());
+  blocker.AwaitWorkerParked();
+
+  const ServeQuery all =
+      ServeQuery::TwoSided(TwoSidedQuery{INT64_MIN, INT64_MIN});
+  std::promise<QueryResult> done;
+  auto fut = done.get_future();
+  ASSERT_TRUE(router
+                  .Submit(id.value(), all,
+                          [&done](QueryResult r) {
+                            done.set_value(std::move(r));
+                          })
+                  .ok());
+  store.engine(1)->Drain();
+  EXPECT_EQ(fut.wait_for(std::chrono::seconds(0)), std::future_status::timeout)
+      << "shard 0 is parked, so the merge cannot have completed";
+  blocker.Release();
+
+  QueryResult r = fut.get();
+  ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+  ASSERT_EQ(r.shards.size(), 2u);
+  EXPECT_EQ(r.shards[0].shard, 0u);
+  EXPECT_EQ(r.shards[1].shard, 1u);
+  QueryResult direct = ShardOrderConcat(&store, id.value(), all, r.shards);
+  ASSERT_TRUE(direct.status.ok());
+  EXPECT_EQ(r.points, direct.points);  // shard 0's answer, then shard 1's
+  EXPECT_EQ(r.points.size(), pts.size());
+  const IoStats sum = SliceSum(r);
+  EXPECT_EQ(r.io.reads, sum.reads);
+  EXPECT_EQ(r.io.batch_reads, sum.batch_reads);
+  EXPECT_GT(r.shards[0].io.reads, 0u);
+  EXPECT_GT(r.shards[1].io.reads, 0u);
+  store.Stop();
+}
+
+// --- Store options that contradict each other are refused ------------------
+
+void ExpectRefused(ShardedStore* store) {
+  const std::vector<Point> pts = {{1, 1, 0}, {60, 2, 1}};
+  const std::vector<Interval> ivs = {{1, 5, 0}};
+  EXPECT_TRUE(store->AddTwoSided(pts).status().IsInvalidArgument());
+  EXPECT_TRUE(store->AddThreeSided(pts).status().IsInvalidArgument());
+  EXPECT_TRUE(store->AddStabbing(ivs).status().IsInvalidArgument());
+  EXPECT_TRUE(store->Start().IsInvalidArgument());
+  EXPECT_EQ(store->num_structures(), 0u);
+}
+
+TEST(ShardedStoreTest, DeviceCountOtherThanShardsIsRefused) {
+  MemPageDevice mem0(4096), mem1(4096);
+  ShardedStoreOptions sopts;  // shards left at its default of 4
+  sopts.devices = {&mem0, &mem1};
+  ShardedStore store(sopts);
+  ExpectRefused(&store);
+  EXPECT_EQ(mem0.live_pages() + mem1.live_pages(), 0u);
+
+  // The same two devices with a matching shard count take the records.
+  sopts.shards = 2;
+  ShardedStore fixed(sopts);
+  std::vector<Point> pts = {{1, 1, 0}, {2, 2, 1}, {3, 3, 2}, {4, 4, 3}};
+  ASSERT_TRUE(fixed.AddTwoSided(pts).ok());
+  EXPECT_TRUE(fixed.Start().ok());
+  EXPECT_GT(mem0.live_pages(), 0u);
+  EXPECT_GT(mem1.live_pages(), 0u);
+  fixed.Stop();
+}
+
+TEST(ShardedStoreTest, MoreCutsThanShardsAllowIsRefused) {
+  ShardedStoreOptions sopts;
+  sopts.shards = 2;
+  sopts.cuts = {10, 20};
+  ShardedStore store(sopts);
+  ExpectRefused(&store);
+}
+
+TEST(ShardedStoreTest, CutsOutOfOrderAreRefused) {
+  for (const std::vector<int64_t>& cuts :
+       {std::vector<int64_t>{20, 10}, std::vector<int64_t>{10, 10}}) {
+    ShardedStoreOptions sopts;
+    sopts.shards = 3;
+    sopts.cuts = cuts;
+    ShardedStore store(sopts);
+    ExpectRefused(&store);
+  }
+}
+
 // --- NetServer over a router: sharding is transparent on the wire ----------
 
 TEST(ShardedNetTest, NetServerServesShardedStructuresTransparently) {
@@ -427,8 +604,7 @@ TEST(ShardedNetTest, NetServerServesShardedStructuresTransparently) {
   auto expect_points = [&](uint32_t id, const ServeQuery& q) {
     QueryResult r = BlockingSubmit(twin.twin_engine(), id, q);
     EXPECT_TRUE(r.status.ok());
-    Canonicalize(&r.points);
-    return r.points;
+    return Canonical(std::move(r.points));
   };
 
   // All five wire query kinds against the sharded back-end.
@@ -436,23 +612,24 @@ TEST(ShardedNetTest, NetServerServesShardedStructuresTransparently) {
   ASSERT_TRUE(client.QueryTwoSided(two.value(), TwoSidedQuery{40'000, 40'000},
                                    &got)
                   .ok());
-  EXPECT_EQ(got, expect_points(two.value(),
-                               ServeQuery::TwoSided(TwoSidedQuery{40'000,
-                                                                  40'000})));
+  EXPECT_EQ(Canonical(got),
+            expect_points(two.value(),
+                          ServeQuery::TwoSided(TwoSidedQuery{40'000, 40'000})));
 
   ASSERT_TRUE(client.QueryDiagonal(two.value(), 60'000, &got).ok());
-  EXPECT_EQ(got, expect_points(
-                     two.value(),
-                     ServeQuery::TwoSided(DiagonalCornerQuery{60'000}
-                                              .AsTwoSided())));
+  EXPECT_EQ(Canonical(got),
+            expect_points(two.value(),
+                          ServeQuery::TwoSided(
+                              DiagonalCornerQuery{60'000}.AsTwoSided())));
 
   ASSERT_TRUE(client.QueryThreeSided(three.value(),
                                      ThreeSidedQuery{20'000, 70'000, 30'000},
                                      &got)
                   .ok());
-  EXPECT_EQ(got, expect_points(three.value(),
-                               ServeQuery::ThreeSided(
-                                   ThreeSidedQuery{20'000, 70'000, 30'000})));
+  EXPECT_EQ(Canonical(got),
+            expect_points(three.value(),
+                          ServeQuery::ThreeSided(
+                              ThreeSidedQuery{20'000, 70'000, 30'000})));
 
   ASSERT_TRUE(client.QueryRange(three.value(),
                                 RangeQuery{10'000, 90'000, 10'000, 60'000},
@@ -462,13 +639,14 @@ TEST(ShardedNetTest, NetServerServesShardedStructuresTransparently) {
       three.value(),
       ServeQuery::ThreeSided(ThreeSidedQuery{10'000, 90'000, 10'000}));
   std::erase_if(want, [](const Point& p) { return p.y > 60'000; });
-  EXPECT_EQ(got, want);
+  EXPECT_EQ(Canonical(got), want);
 
   std::vector<Interval> stabs;
   ASSERT_TRUE(client.QueryStab(stab.value(), 50'000, &stabs).ok());
   QueryResult sr =
       BlockingSubmit(twin.twin_engine(), stab.value(), ServeQuery::Stab(50'000));
   ASSERT_TRUE(sr.status.ok());
+  Canonicalize(&stabs);
   Canonicalize(&sr.intervals);
   EXPECT_EQ(stabs, sr.intervals);
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+
 namespace pathcache {
 namespace {
 
@@ -38,6 +40,27 @@ TEST(StatusTest, CopyPreservesMessage) {
   Status b = a;
   EXPECT_EQ(b.message(), "bad page");
   EXPECT_TRUE(b.IsCorruption());
+}
+
+TEST(StatusTest, WithPrefixKeepsEveryCode) {
+  const Status errors[] = {
+      Status::InvalidArgument("m"), Status::NotFound("m"),
+      Status::IoError("m"),         Status::Corruption("m"),
+      Status::NotSupported("m"),    Status::OutOfRange("m"),
+      Status::FailedPrecondition("m"), Status::Overloaded("m"),
+      Status::DeadlineExceeded("m")};
+  // One factory per non-OK code, in enum order: a new code must join here.
+  ASSERT_EQ(std::size(errors),
+            static_cast<size_t>(StatusCode::kDeadlineExceeded));
+  for (size_t i = 0; i < std::size(errors); ++i) {
+    const Status& s = errors[i];
+    EXPECT_EQ(static_cast<size_t>(s.code()), i + 1);
+    const Status p = s.WithPrefix("shard 3: ");
+    EXPECT_EQ(p.code(), s.code()) << s.ToString();
+    EXPECT_EQ(p.message(), "shard 3: m");
+  }
+  EXPECT_TRUE(Status::OK().WithPrefix("shard 3: ").ok());
+  EXPECT_TRUE(Status::OK().WithPrefix("shard 3: ").message().empty());
 }
 
 TEST(StatusTest, CodeNames) {
